@@ -10,8 +10,14 @@ theorem makes equivalent:
 * route 3 — every cycle has an exit and the only saturated hereditary
   vertex sets are empty and full.
 
-Both are computed and must agree; a disagreement is a bug, not a property
-of the graph.
+Route 3 never enumerates that lattice.  Every nonempty saturated
+hereditary set contains the saturated hereditary closure of a bottom
+strongly connected component (one that no edge leaves), so the lattice is
+trivial exactly when each such closure is the full vertex set.  The
+closures are pairwise disjoint, so computing all of them is O(V + E).
+
+Both routes are computed on every graph and must agree; a disagreement is
+a bug, not a property of the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
-    BoundExceededError,
     CyclicGraphError,
     EmptyGraphError,
     InfiniteBundleError,
@@ -38,9 +43,10 @@ from .graph_model import (
     reachable_set,
     singular_vertices,
     sinks,
+    strongly_connected_components,
     topological_order,
 )
-from .ideal_lattice import enumerate_saturated_hereditary
+from .ideal_lattice import lattice_order, saturated_hereditary_closure
 
 
 # --- row class ---------------------------------------------------------------
@@ -97,13 +103,12 @@ class Witness:
 class SimplicityResult:
     simple: bool
     route2: bool
-    route3: bool | None            # None when the lattice guard tripped
+    route3: bool
     witness: Witness | None
     condition_l: bool
     cofinal: bool
     reaches_all_singular: bool
-    lattice_trivial: bool | None
-    route3_skipped: bool = False
+    lattice_trivial: bool
 
 
 def is_simple(g: Graph) -> SimplicityResult:
@@ -114,7 +119,6 @@ def is_simple(g: Graph) -> SimplicityResult:
     cof = cofinal(g)
     singular = singular_vertices(g)
     reach_ok = True
-    missing: Witness | None = None
     for s in singular:
         back = _reaching_set(g, s)
         if len(back) != len(g.vertices):
@@ -122,21 +126,12 @@ def is_simple(g: Graph) -> SimplicityResult:
             break
     route2 = cyc.condition_l and cof.cofinal and reach_ok
 
-    route3: bool | None = None
-    skipped = False
-    lattice_trivial: bool | None = None
-    lattice: list[frozenset[str]] | None = None
-    try:
-        lattice = enumerate_saturated_hereditary(g)
-    except BoundExceededError:
-        skipped = True
-    if lattice is not None:
-        nontrivial = [s for s in lattice if s and s != g.vertex_set]
-        lattice_trivial = not nontrivial
-        route3 = cyc.condition_l and lattice_trivial
-        if route3 != route2:
-            raise InternalCheckError(
-                f"simplicity routes disagree: route2={route2} route3={route3}")
+    proper = _proper_bottom_closures(g)
+    lattice_trivial = not proper
+    route3 = cyc.condition_l and lattice_trivial
+    if route3 != route2:
+        raise InternalCheckError(
+            f"simplicity routes disagree: route2={route2} route3={route3}")
 
     witness: Witness | None = None
     if not route2:
@@ -147,15 +142,27 @@ def is_simple(g: Graph) -> SimplicityResult:
             witness = Witness("unreached-cycle", vertex=v, lasso=lasso)
         else:
             # condition (L) and cofinality hold but some singular vertex is
-            # unreachable; the lattice then has a proper nontrivial element
-            if lattice is not None and nontrivial:
-                witness = Witness("saturated-hereditary-set",
-                                  vertex_set=nontrivial[0])
-            else:  # lattice skipped: fall back to a singleton closure
-                witness = _closure_witness(g)
+            # unreachable; the lattice then has a proper nontrivial element,
+            # and the least one in (size, sorted members) order is a bottom
+            # closure, since every nontrivial element contains one
+            witness = Witness("saturated-hereditary-set",
+                              vertex_set=min(proper, key=lattice_order))
     return SimplicityResult(route2, route2, route3, witness,
                             cyc.condition_l, cof.cofinal, reach_ok,
-                            lattice_trivial, skipped)
+                            lattice_trivial)
+
+
+def _proper_bottom_closures(g: Graph) -> list[frozenset[str]]:
+    """Saturated hereditary closures of the bottom strongly connected
+    components that fall short of the full vertex set."""
+    proper = []
+    for comp in strongly_connected_components(g):
+        members = set(comp)
+        if all(b.dst in members for v in comp for b in g.out_bundles(v)):
+            closure = saturated_hereditary_closure(g, comp)
+            if len(closure) != len(g.vertices):
+                proper.append(closure)
+    return proper
 
 
 def _reaching_set(g: Graph, target: str) -> set[str]:
@@ -168,15 +175,6 @@ def _reaching_set(g: Graph, target: str) -> set[str]:
                 seen.add(b.src)
                 stack.append(b.src)
     return seen
-
-
-def _closure_witness(g: Graph) -> Witness:
-    from .ideal_lattice import saturated_hereditary_closure
-    for v in g.vertices:
-        c = saturated_hereditary_closure(g, [v])
-        if c != g.vertex_set:
-            return Witness("saturated-hereditary-set", vertex_set=c)
-    raise InternalCheckError("no saturated hereditary witness found")
 
 
 # --- doubled-path ladders --------------------------------------------------------
@@ -314,6 +312,7 @@ class Verdict:
     witness: Witness | None = None
     citations: tuple[str, ...] = ()
     depth: int | None = None             # for UnknownAtDepth
+    simplicity: SimplicityResult | None = None  # set for finite graphs
 
     def headline(self) -> str:
         if self.tag is VerdictTag.UNIQUE_IRREP_COMPACTS:
@@ -348,28 +347,29 @@ def naimark_verdict(subject: Graph | StagedGraph,
 
 
 def _verdict_finite(g: Graph) -> Verdict:
-    if not g.vertices:
-        raise EmptyGraphError("verdict is about nonempty graphs")
-    simp = is_simple(g)
+    simp = is_simple(g)  # raises EmptyGraphError on an empty graph
     if not simp.simple:
         return Verdict(VerdictTag.NOT_SIMPLE,
                        reason=simp.witness.describe(),
                        witness=simp.witness,
                        citations=("unique-irrep-implies-simple",
-                                  "simplicity-criterion"))
+                                  "simplicity-criterion"),
+                       simplicity=simp)
     if has_cycle(g):
         rc = row_class(g)
         if rc is RowClass.HAS_UNCOUNTABLE_EMITTER:
             return Verdict(VerdictTag.OPEN_PURELY_INFINITE,
                            reason="simple with a cycle and an uncountable "
                                   "emitter; undecided territory",
-                           citations=("purely-infinite-open-case",))
+                           citations=("purely-infinite-open-case",),
+                           simplicity=simp)
         return Verdict(
             VerdictTag.MULTIPLE_IRREPS,
             reason="simple with a cycle: the algebra is not AF, but a "
                    f"{rc.value} graph algebra with a unique irreducible "
                    "representation would be the compacts, which are AF",
-            citations=("row-countable-unique-irrep-compacts", "af-iff-acyclic"))
+            citations=("row-countable-unique-irrep-compacts", "af-iff-acyclic"),
+            simplicity=simp)
     dich = _dichotomy_finite(g)
     if dich.tag is not DichotomyTag.CASE_I:
         raise InternalCheckError(
@@ -379,7 +379,8 @@ def _verdict_finite(g: Graph) -> Verdict:
                    reason=f"one sink {dich.sink!r}; the algebra is the full "
                           f"matrix algebra on the {dim} paths into it",
                    citations=("af-unique-irrep-compacts",
-                              "sink-or-tail-dichotomy"))
+                              "sink-or-tail-dichotomy"),
+                   simplicity=simp)
 
 
 def _verdict_staged(sg: StagedGraph, depth: int) -> Verdict:

@@ -30,7 +30,9 @@ import argparse
 import json
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# graphck no longer uses a thread pool; the name stays bound because
+# perfbench/tracer.py swaps cli_io.ThreadPoolExecutor while it traces
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 from .bratteli import (
@@ -52,7 +54,7 @@ from .ck_matrix import (
     gap_projections,
     verify_ck,
 )
-from .classifier import is_af, ladder_length, is_simple, naimark_verdict, row_class
+from .classifier import is_af, ladder_length, naimark_verdict, row_class
 from .errors import (
     ChainError,
     DocumentError,
@@ -249,8 +251,9 @@ def _cmd_analyze(g: Graph, label: str) -> Report:
 
 def _cmd_classify(subject: Graph | StagedGraph, label: str, depth: int) -> Report:
     r = Report("classify", label)
+    verdict = naimark_verdict(subject, depth)
     if isinstance(subject, Graph):
-        simp = is_simple(subject)
+        simp = verdict.simplicity
         if simp.simple:
             r.say("simple: yes — every cycle has an exit, the graph is "
                   "cofinal, and every vertex reaches every singular vertex",
@@ -258,14 +261,10 @@ def _cmd_classify(subject: Graph | StagedGraph, label: str, depth: int) -> Repor
         else:
             r.say(f"simple: no — {simp.witness.describe()}",
                   "simplicity-criterion")
-        if simp.route3_skipped:
-            r.say("ideal-lattice cross-check skipped: enumeration bound")
-        else:
-            r.say("routes agree: the reachability criterion and the "
-                  "ideal-lattice criterion both say "
-                  f"{_yesno(simp.simple)}")
+        r.say("routes agree: the reachability criterion and the "
+              "ideal-lattice criterion both say "
+              f"{_yesno(simp.simple)}")
         r.data["simple"] = simp.simple
-    verdict = naimark_verdict(subject, depth)
     r.say(f"verdict: {verdict.headline()}",
           verdict.citations[0] if verdict.citations else "computed")
     r.say(f"reason: {verdict.reason}")
@@ -493,8 +492,8 @@ def _add_source(sp: argparse.ArgumentParser, batch: bool = False) -> None:
                     help="stage to materialize for --family (default 6)")
     if batch:
         sp.add_argument("--batch", nargs="+", metavar="PATH",
-                        help="run over several graph documents concurrently; "
-                             "a directory stands for its .json files")
+                        help="run over several graph documents, one after "
+                             "another; a directory stands for its .json files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,8 +616,9 @@ def _run_batch(paths: list[str], body) -> tuple[int, list[Report]]:
             bad.data["error"] = str(exc)
             return 3, bad
 
-    with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-        results = list(pool.map(one, paths))
+    # a plain loop: the documents are pure-Python CPU work, which threads
+    # only serialize on the interpreter lock
+    results = [one(path) for path in paths]
     return max(code for code, _ in results), [r for _, r in results]
 
 

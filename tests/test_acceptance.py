@@ -17,6 +17,7 @@ from graphck import (
     dichotomy,
     downstream,
     enumerate_paths,
+    enumerate_saturated_hereditary,
     gap_projections,
     hereditary_closure,
     is_hereditary,
@@ -118,13 +119,26 @@ def test_criterion_2_verdict_matches_block_count(capsys):
                         "exhaustive acyclic suite", ok, detail)
 
 
+def routes_agree_with_enumeration(g) -> bool:
+    """Route 2, route 3 (bottom-component closures) and the enumerated
+    saturated hereditary lattice all give one answer, and a lattice witness
+    is the least nontrivial element of the enumerated lattice."""
+    res = is_simple(g)  # raises InternalCheckError when routes 2 and 3 differ
+    lattice = enumerate_saturated_hereditary(g)
+    nontrivial = [s for s in lattice if s and s != g.vertex_set]
+    ok = (res.route2 == res.route3 == (res.condition_l and not nontrivial)
+          and res.lattice_trivial == (not nontrivial))
+    if res.witness is not None and res.witness.kind == "saturated-hereditary-set":
+        ok &= res.witness.vertex_set == nontrivial[0]
+    return ok
+
+
 def test_criterion_3_simplicity_routes_agree(capsys):
     ok = True
     detail = ""
     checked = 0
     for n, arcs in helpers.acyclic_universe(5, 6):
-        res = is_simple(graph_of(n, arcs))
-        if res.route3 is None or res.route2 != res.route3:
+        if not routes_agree_with_enumeration(graph_of(n, arcs)):
             ok, detail = False, f"disagreement on {n} vertices {arcs}"
             break
         checked += 1
@@ -132,15 +146,14 @@ def test_criterion_3_simplicity_routes_agree(capsys):
         rng = random.Random(13)
         for i in range(10_000):
             g = helpers.random_graph(rng, max_vertices=8)
-            res = is_simple(g)  # raises InternalCheckError on disagreement
-            if res.route3 is not None and res.route2 != res.route3:
+            if not routes_agree_with_enumeration(g):
                 ok, detail = False, f"disagreement on random graph {i}"
                 break
             checked += 1
     if ok:
         detail = f"{checked} graphs, zero disagreements"
-    announce(capsys, 3, "reachability and ideal-lattice simplicity routes "
-                        "agree", ok, detail)
+    announce(capsys, 3, "reachability, bottom-closure and enumerated-lattice "
+                        "simplicity routes agree", ok, detail)
 
 
 def test_criterion_4_ck_families_verify_for_every_spec(capsys):

@@ -1,5 +1,7 @@
 # Row classes, simplicity (two routes), ladders, dichotomy, and the verdict.
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -113,7 +115,6 @@ def test_witness_saturated_set():
 def test_both_routes_filled_on_small_graphs():
     res = is_simple(g1())
     assert res.route2 == res.route3 is True
-    assert not res.route3_skipped
     assert res.lattice_trivial
 
 
@@ -121,8 +122,23 @@ def test_routes_agree_exhaustively():
     for n, arcs in helpers.digraph_universe():
         g = graph_of(n, arcs)
         res = is_simple(g)
-        assert res.route3 is not None
         assert res.route2 == res.route3, (n, arcs)
+
+
+def test_is_simple_never_enumerates_the_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_simple enumerated the ideal lattice")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "graphck" or name.startswith("graphck."):
+            if hasattr(mod, "enumerate_saturated_hereditary"):
+                monkeypatch.setattr(mod, "enumerate_saturated_hereditary",
+                                    refuse)
+    for g in (g1(), two_sinks(), diamond(), disjoint_loops(),
+              Graph([f"v{i}" for i in range(16)], [])):
+        res = is_simple(g)
+        assert res.route2 == res.route3
+    assert is_simple(two_sinks()).witness.vertex_set == {"w_1"}
 
 
 @settings(max_examples=120)
@@ -131,7 +147,7 @@ def test_routes_agree_random(g):
     if not g.vertices:
         return
     res = is_simple(g)
-    assert res.route3 is None or res.route2 == res.route3
+    assert res.route2 == res.route3
 
 
 def test_simplicity_with_unreached_sink():

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 
 from graphck import (
     DocumentError,
+    EdgeBundle,
     Report,
+    build_graph,
     emit_graph_document,
+    is_simple,
     load_graph_file,
     parse_graph_document,
     run_command,
@@ -164,6 +167,25 @@ def test_classify_constant_family_goes_finite():
     assert code == 0
     assert "family rose2 (constant)" in text
     assert "MultipleIrreps" in text
+
+
+def test_classify_cross_checks_routes_above_twenty_vertices(tmp_path):
+    # a 22-vertex line plus an isolated sink: the lattice enumeration bound
+    # is 20 vertices, but route 3 is computed on every graph
+    line = [f"v{i}" for i in range(22)]
+    g = build_graph(line + ["z"], [EdgeBundle(f"e{i}", a, b)
+                                   for i, (a, b) in enumerate(zip(line, line[1:]))])
+    res = is_simple(g)
+    assert res.route3 is False and res.route2 is False
+    assert res.witness.vertex_set == {"z"}
+    path = tmp_path / "line22.json"
+    path.write_text(json.dumps(emit_graph_document(g)))
+    code, text = run_command(["classify", "--graph", str(path)])
+    assert code == 0
+    assert "routes agree: the reachability criterion and the ideal-lattice " \
+           "criterion both say no" in text
+    assert "proper nontrivial saturated hereditary set {z}" in text
+    assert "skipped" not in text
 
 
 def test_bratteli_ladder2_json():

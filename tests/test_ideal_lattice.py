@@ -116,6 +116,14 @@ def test_closure_laws(gs):
     assert is_saturated(g, saturated_hereditary_closure(g, sub))
 
 
+@settings(max_examples=300)
+@given(graph_and_subset(max_vertices=7, max_bundles=12, infinite_ok=True))
+def test_worklist_closure_matches_fixpoint(gs):
+    g, sub = gs
+    assert saturated_hereditary_closure(g, sub) == \
+        saturate(g, hereditary_closure(g, sub))
+
+
 @settings(max_examples=100)
 @given(graph_and_subset())
 def test_closures_monotone(gs):
