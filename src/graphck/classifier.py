@@ -10,6 +10,14 @@ theorem makes equivalent:
 * route 3 — every cycle has an exit and the only saturated hereditary
   vertex sets are empty and full.
 
+Route 2 is O(V + E).  Condition (L) follows unique out-edges once.
+Cofinality searches back from the cyclic strongly connected components
+in order and stops at the first one some vertex misses; two distinct
+components cannot both be reached from everywhere, so that is at most two
+searches.  Every vertex reaches every singular vertex exactly when every
+vertex reaches the first singular vertex s0 and s0 reaches the others: one
+backward search from s0, and one forward search when there are others.
+
 Route 3 never enumerates that lattice.  Every nonempty saturated
 hereditary set contains the saturated hereditary closure of a bottom
 strongly connected component (one that no edge leaves), so the lattice is
@@ -45,6 +53,7 @@ from .graph_model import (
     sinks,
     strongly_connected_components,
     topological_order,
+    traverse,
 )
 from .ideal_lattice import lattice_order, saturated_hereditary_closure
 
@@ -117,13 +126,13 @@ def is_simple(g: Graph) -> SimplicityResult:
         raise EmptyGraphError("simplicity is about nonempty graphs")
     cyc = cycles_and_condition_l(g)
     cof = cofinal(g)
+    # every vertex reaches every singular vertex iff every vertex reaches
+    # the first one and the first one reaches all the others
     singular = singular_vertices(g)
-    reach_ok = True
-    for s in singular:
-        back = _reaching_set(g, s)
-        if len(back) != len(g.vertices):
-            reach_ok = False
-            break
+    reach_ok = not singular or (
+        len(_reaching_set(g, singular[0])) == len(g.vertices)
+        and (len(singular) == 1
+             or reachable_set(g, singular[0]).issuperset(singular)))
     route2 = cyc.condition_l and cof.cofinal and reach_ok
 
     proper = _proper_bottom_closures(g)
@@ -166,15 +175,8 @@ def _proper_bottom_closures(g: Graph) -> list[frozenset[str]]:
 
 
 def _reaching_set(g: Graph, target: str) -> set[str]:
-    seen = {target}
-    stack = [target]
-    while stack:
-        u = stack.pop()
-        for b in g.in_bundles(u):
-            if b.src not in seen:
-                seen.add(b.src)
-                stack.append(b.src)
-    return seen
+    """Vertices with a (possibly trivial) path to ``target``."""
+    return traverse(g, [target], forward=False)
 
 
 # --- doubled-path ladders --------------------------------------------------------

@@ -27,6 +27,7 @@ enumeration bound, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -376,9 +377,7 @@ def _cmd_ck(g: Graph, label: str, relative: str, export_path: str | None) -> Rep
     dim = algebra_dimension(rep)
     r.say(f"algebra dimension: {dim} (exact rank over the rationals)")
     blocks = None
-    if spec.imposed == frozenset(
-            v for v in g.vertices
-            if not g.is_sink(v) and not g.emits_infinitely(v)):
+    if spec.imposed == RelativeSpec.full(g).imposed:
         blocks = block_decomposition(rep)
         r.say("blocks: " + ", ".join(f"{b.terminal}: M_{b.size}"
                                      for b in blocks))
@@ -496,7 +495,10 @@ def _add_source(sp: argparse.ArgumentParser, batch: bool = False) -> None:
                              "another; a directory stands for its .json files")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args``
+    keeps no state between calls."""
     p = _Parser(prog="graphck",
                 description="Decide simplicity, AF-ness, and unique-"
                             "irreducible-representation questions for "
@@ -605,16 +607,11 @@ def _run_batch(paths: list[str], body) -> tuple[int, list[Report]]:
     def one(path: str) -> tuple[int, Report]:
         try:
             return 0, body(load_graph_file(path), path)
-        except DocumentError as exc:
+        except (DocumentError, PreconditionError) as exc:
             bad = Report("error", path)
             bad.say(f"error: {exc}")
             bad.data["error"] = str(exc)
-            return 2, bad
-        except PreconditionError as exc:
-            bad = Report("error", path)
-            bad.say(f"error: {exc}")
-            bad.data["error"] = str(exc)
-            return 3, bad
+            return (2 if isinstance(exc, DocumentError) else 3), bad
 
     # a plain loop: the documents are pure-Python CPU work, which threads
     # only serialize on the interpreter lock

@@ -94,9 +94,6 @@ class IntMatrix:
     def is_idempotent(self) -> bool:
         return (self @ self) == self
 
-    def is_diagonal_idempotent(self) -> bool:
-        return all(r == c and v == 1 for (r, c), v in self.entries.items())
-
     def is_partial_permutation(self) -> bool:
         rows_seen: set[int] = set()
         cols_seen: set[int] = set()
@@ -106,10 +103,6 @@ class IntMatrix:
             rows_seen.add(r)
             cols_seen.add(c)
         return True
-
-    def nonzero_rank_positions(self) -> dict[int, int]:
-        """For a partial permutation: the col -> row map."""
-        return {c: r for (r, c) in self.entries}
 
     def to_triples(self) -> list[list[int]]:
         return [[r, c, v] for (r, c), v in sorted(self.entries.items())]
@@ -171,7 +164,3 @@ def exact_rank(vectors: Iterable[Mapping[int, int]]) -> int:
             _reduce_row(new)
             row = new
     return rank
-
-
-def exact_rank_of_matrices(mats: Iterable[IntMatrix]) -> int:
-    return exact_rank(m.vectorize() for m in mats)

@@ -438,18 +438,29 @@ def regular_vertices(g: Graph) -> list[str]:
 # --- reachability and cycles --------------------------------------------------
 
 
+def traverse(g: Graph, seeds: Iterable[str], forward: bool) -> set[str]:
+    """Vertices joined to ``seeds`` by a (possibly trivial) path: reached
+    from some seed when ``forward``, reaching some seed otherwise.
+
+    The package's one reachability search over bundle adjacency, O(V + E).
+    Seeds are trusted to be vertices of ``g``.
+    """
+    adjacency = g._out if forward else g._in
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for b in adjacency[stack.pop()]:
+            w = b.dst if forward else b.src
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def reachable_set(g: Graph, v: str) -> frozenset[str]:
     """Vertices reachable from ``v`` by a (possibly trivial) path."""
     g.require_vertex(v)
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for b in g._out[u]:
-            if b.dst not in seen:
-                seen.add(b.dst)
-                queue.append(b.dst)
-    return frozenset(seen)
+    return frozenset(traverse(g, [v], forward=True))
 
 
 def reaches(g: Graph, v: str, w: str) -> bool:
@@ -641,15 +652,7 @@ def cofinal(g: Graph) -> CofinalityResult:
     cyclic_comps = [sorted(c) for c in comps if _scc_is_cyclic(g, c)]
     cyclic_comps.sort()
     for comp in cyclic_comps:
-        members = set(comp)
-        reach_back = set(members)
-        queue = deque(comp)
-        while queue:
-            u = queue.popleft()
-            for b in g._in[u]:
-                if b.src not in reach_back:
-                    reach_back.add(b.src)
-                    queue.append(b.src)
+        reach_back = traverse(g, comp, forward=False)
         if len(reach_back) != len(g.vertices):
             blocked = min(v for v in g.vertices if v not in reach_back)
             cyc = _cycle_within(g, comp)
@@ -725,15 +728,14 @@ class StagedGraph:
         prof = self.profile
         if prof is None or prof.spine is None:
             return ()
-        g = self.stage(n)
+        return self._spine_in(self.stage(n))
+
+    def _spine_in(self, g: Graph) -> tuple[str, ...]:
+        # the profile's spine names in order, up to the first one g lacks
+        spine = self.profile.spine
         out: list[str] = []
-        i = 1
-        while True:
-            v = prof.spine(i)
-            if v not in g.vertex_set:
-                break
+        while (v := spine(len(out) + 1)) in g.vertex_set:
             out.append(v)
-            i += 1
         return tuple(out)
 
     def _check_profile(self, k: int, g: Graph) -> None:
@@ -752,14 +754,7 @@ class StagedGraph:
                         f"{self.name}: vertex {v!r} settled with out-degree {d} "
                         f"< {prof.min_out_degree} at stage {k}")
         if prof.spine is not None:
-            prefix = []
-            i = 1
-            while True:
-                v = prof.spine(i)
-                if v not in g.vertex_set:
-                    break
-                prefix.append(v)
-                i += 1
+            prefix = self._spine_in(g)
             if k > 0 and not prefix:
                 raise StageError(f"{self.name}: stage {k} has no spine vertex")
             for a, b in zip(prefix, prefix[1:]):
@@ -773,9 +768,3 @@ class StagedGraph:
                             or all_out[0].dst != b:
                         raise StageError(
                             f"{self.name}: spine vertex {a!r} is not exclusive at stage {k}")
-
-
-def stage_query(sg: StagedGraph, n: int) -> Graph:
-    """Materialize stage n, verifying monotone inclusion against stage n-1
-    (and every earlier stage) plus all profile claims."""
-    return sg.stage(n)

@@ -9,11 +9,10 @@ set models the ideal it generates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BoundExceededError, NotHereditaryError
-from .graph_model import Graph, build_graph, regular_vertices
+from .graph_model import Graph, build_graph, regular_vertices, traverse
 
 # enumeration guards
 DEFAULT_VERTEX_BOUND = 20
@@ -45,16 +44,8 @@ def is_saturated(g: Graph, vertices: Iterable[str]) -> bool:
 
 
 def hereditary_closure(g: Graph, vertices: Iterable[str]) -> frozenset[str]:
-    """Smallest hereditary superset: BFS along out-bundles to a fixed point."""
-    s = set(_as_subset(g, vertices))
-    frontier = list(s)
-    while frontier:
-        v = frontier.pop()
-        for b in g.out_bundles(v):
-            if b.dst not in s:
-                s.add(b.dst)
-                frontier.append(b.dst)
-    return frozenset(s)
+    """Smallest hereditary superset: everything reachable from the set."""
+    return frozenset(traverse(g, _as_subset(g, vertices), forward=True))
 
 
 def saturate(g: Graph, vertices: Iterable[str]) -> frozenset[str]:
@@ -170,25 +161,3 @@ def enumerate_saturated_hereditary(
 def lattice_order(s: frozenset[str]) -> tuple:
     """Sort key of the lattice listing: size, then sorted members."""
     return len(s), tuple(sorted(s))
-
-
-@dataclass(frozen=True)
-class IdealHandle:
-    """Generator set of the ideal attached to a saturated hereditary set."""
-
-    graph: Graph
-    generators: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not is_hereditary(self.graph, self.generators):
-            raise NotHereditaryError("ideal generators must be hereditary")
-        if not is_saturated(self.graph, self.generators):
-            raise NotHereditaryError("ideal generators must be saturated")
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.generators or self.generators == self.graph.vertex_set
-
-
-def ideal_handle(g: Graph, vertices: Iterable[str]) -> IdealHandle:
-    return IdealHandle(g, _as_subset(g, vertices))

@@ -178,6 +178,25 @@ def brute_cofinal(g: Graph) -> bool:
     return all(reaches(g, v, w) for v in g.vertices for w in on_cycle)
 
 
+def brute_reaches_all_singular(g: Graph) -> bool:
+    """Every vertex reaches every singular vertex (a sink or an infinite
+    emitter), by one reverse search per singular vertex."""
+    singular = [v for v in g.vertices
+                if not g.out_bundles(v)
+                or any(not b.cardinality.is_finite for b in g.out_bundles(v))]
+    for s in singular:
+        back = {s}
+        todo = [s]
+        while todo:
+            for b in g.in_bundles(todo.pop()):
+                if b.src not in back:
+                    back.add(b.src)
+                    todo.append(b.src)
+        if back != g.vertex_set:
+            return False
+    return True
+
+
 # --- hypothesis strategies -----------------------------------------------------------
 
 

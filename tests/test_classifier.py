@@ -33,6 +33,7 @@ from graphck import (
     aleph0_rose_family,
     uncountable_rose_family,
 )
+from graphck import classifier
 
 import helpers
 from helpers import (
@@ -148,6 +149,35 @@ def test_routes_agree_random(g):
         return
     res = is_simple(g)
     assert res.route2 == res.route3
+
+
+@settings(max_examples=300)
+@given(graphs(max_vertices=7, max_bundles=10, infinite_ok=True))
+def test_reaches_all_singular_matches_per_singular_oracle(g):
+    assert is_simple(g).reaches_all_singular == \
+        helpers.brute_reaches_all_singular(g)
+
+
+def test_route2_reach_check_is_two_searches(monkeypatch):
+    # a 50-cycle of aleph0 bundles: every vertex is singular
+    vs = [f"c{i}" for i in range(50)]
+    g = build_graph(vs, [EdgeBundle(f"e{i}", v, vs[(i + 1) % 50], ALEPH0)
+                         for i, v in enumerate(vs)])
+    calls = {"back": 0, "forward": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(classifier, "_reaching_set",
+                        counting("back", classifier._reaching_set))
+    monkeypatch.setattr(classifier, "reachable_set",
+                        counting("forward", classifier.reachable_set))
+    res = is_simple(g)
+    assert res.simple and res.reaches_all_singular
+    assert calls["back"] <= 1 and calls["forward"] <= 1
 
 
 def test_simplicity_with_unreached_sink():

@@ -1,8 +1,13 @@
 # Graph documents and the CLI: parsing diagnostics, reports, exit codes.
 
+import contextlib
+import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +388,34 @@ def test_help_exits_zero():
     code, text = run_command(["--help"])
     assert code == 0
     assert text == ""
+
+
+def test_consecutive_commands_share_no_parser_state(monkeypatch):
+    # each command line answered in a row, in one process, must answer as
+    # it does alone in a fresh interpreter; --help wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["classify", "--bogus"],
+             ["classify", "--graph", str(GRAPH_DIR / "g1.json")],
+             ["--help"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from graphck import run_command\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              "    code, text = run_command(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, text, out.getvalue()]))\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    for argv in argvs:
+        in_process = io.StringIO()
+        with contextlib.redirect_stdout(in_process):
+            code, text = run_command(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert [code, text, in_process.getvalue()] == \
+            json.loads(fresh.stdout), argv
+    # --help exits through SystemExit; a usage error after it still reports
+    assert run_command(argvs[0])[0] == 2
 
 
 # --- batch mode -----------------------------------------------------------------------

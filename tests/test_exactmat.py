@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from graphck import IntMatrix, exact_rank, exact_rank_of_matrices
+from graphck import IntMatrix, exact_rank
 
 
 def fraction_rank(vectors, width):
@@ -50,7 +50,8 @@ def test_add_sub_cancellation_drops_zeros():
 
 def test_identity_and_diag():
     i = IntMatrix.identity(3)
-    assert i.is_idempotent() and i.is_diagonal_idempotent()
+    assert i.is_idempotent()
+    assert i.entries == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
     d = IntMatrix.from_diag([0, 2], 3)
     assert d.is_idempotent()
     assert d.entries == {(0, 0): 1, (2, 2): 1}
@@ -65,9 +66,10 @@ def test_partial_permutation_predicate():
     assert IntMatrix.zero(4).is_partial_permutation()
 
 
-def test_nonzero_rank_positions():
+def test_from_partial_perm_entries():
+    # column c goes to row r: entry (r, c)
     s = IntMatrix.from_partial_perm({1: 0, 3: 2}, 4)
-    assert s.nonzero_rank_positions() == {1: 0, 3: 2}
+    assert s.entries == {(0, 1): 1, (2, 3): 1}
 
 
 def test_to_triples_sorted():
@@ -92,7 +94,7 @@ def test_rank_of_matrices_counts_independent_units():
     mats = [IntMatrix.from_partial_perm({0: 0}, 2),
             IntMatrix.from_partial_perm({1: 1}, 2),
             IntMatrix.identity(2)]  # dependent on the first two
-    assert exact_rank_of_matrices(mats) == 2
+    assert exact_rank(m.vectorize() for m in mats) == 2
 
 
 def test_rank_matches_fraction_oracle_randomized():

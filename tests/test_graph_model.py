@@ -33,7 +33,6 @@ from graphck import (
     sinks,
     singular_vertices,
     regular_vertices,
-    stage_query,
     strongly_connected_components,
     topological_order,
     vertex_classes,
@@ -414,7 +413,7 @@ def test_cofinal_matches_brute_random(g):
 
 def test_ladder_stages_monotone_and_checked():
     sg = ladder_family(2)
-    g3 = stage_query(sg, 3)
+    g3 = sg.stage(3)
     assert sg.stage(2).is_subgraph_of(g3)
     assert sg.spine_prefix(3) == ("w_1", "w_2", "w_3")
 

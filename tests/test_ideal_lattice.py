@@ -9,7 +9,6 @@ from graphck import (
     BoundExceededError,
     EdgeBundle,
     Graph,
-    IdealHandle,
     NotHereditaryError,
     UNCOUNTABLE,
     UnknownVertexError,
@@ -17,7 +16,6 @@ from graphck import (
     enumerate_saturated_hereditary,
     finite,
     hereditary_closure,
-    ideal_handle,
     is_hereditary,
     is_saturated,
     restrict_to,
@@ -195,16 +193,14 @@ def test_enumerate_empty_graph():
     assert enumerate_saturated_hereditary(Graph([], [])) == [frozenset()]
 
 
-# --- ideal handles --------------------------------------------------------------------
+# --- ideal generator sets --------------------------------------------------------------
 
 
-def test_ideal_handle_validates():
+def test_ideal_generators_are_saturated_hereditary():
     g = two_sinks()
-    h = ideal_handle(g, {"w_1"})
-    assert not h.is_trivial
-    assert ideal_handle(g, set()).is_trivial
-    assert ideal_handle(g, g.vertices).is_trivial
-    with pytest.raises(NotHereditaryError):
-        IdealHandle(g, frozenset({"v"}))
-    with pytest.raises(NotHereditaryError):
-        IdealHandle(g, frozenset({"w_1", "w_2"}))  # hereditary, not saturated
+    for generators in ({"w_1"}, set(), g.vertices):
+        assert is_hereditary(g, generators) and is_saturated(g, generators)
+    assert not is_hereditary(g, {"v"})
+    # hereditary, not saturated: v's successors all lie inside
+    assert is_hereditary(g, {"w_1", "w_2"})
+    assert not is_saturated(g, {"w_1", "w_2"})
