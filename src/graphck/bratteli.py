@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ChainError, SpineError, StageError
-from .exactmat import IntMatrix
 from .graph_model import (
     Graph,
     Path,
@@ -30,7 +29,7 @@ from .graph_model import (
     count_paths_from,
     sinks,
 )
-from .ck_matrix import MatrixRep
+from .ck_matrix import MatrixRep, PathMaps, matrix_unit
 
 CORNER = "corner"
 TAIL = "tail"
@@ -251,7 +250,10 @@ def embed_check(rep_small: MatrixRep, rep_big: MatrixRep) -> EmbedReport:
         S_a S_b* == sum over edges e out of v of S_ae S_be*
 
     whenever v became regular, and survive unchanged whenever v stayed a
-    sink.  All products are exact integer matrices.
+    sink.  Path operators are composed partial permutations of the big
+    model (``PathMaps``), so a matrix unit S_a S_b* is a set of positions
+    (``matrix_unit``); the right-hand side counts each position over the
+    out-edges, and both sides are compared exactly.
     """
     small, big = rep_small.graph, rep_big.graph
     if not small.is_subgraph_of(big):
@@ -260,6 +262,7 @@ def embed_check(rep_small: MatrixRep, rep_big: MatrixRep) -> EmbedReport:
     by_target: dict[str, list[Path]] = {}
     for p in rep_small.basis:
         by_target.setdefault(p.target, []).append(p)
+    maps, dim = PathMaps(rep_big), rep_big.dim
 
     def extended(p: Path, e) -> Path:
         return Path(p.source, e.dst, p.edges + (e.id,), p.vertex_seq + (e.dst,))
@@ -267,20 +270,19 @@ def embed_check(rep_small: MatrixRep, rep_big: MatrixRep) -> EmbedReport:
     checked = 0
     failures: list[str] = []
     for v, paths in sorted(by_target.items()):
-        ops = {p: rep_big.path_matrix(p) for p in paths}
+        if big.is_sink(v):
+            checked += len(paths) ** 2  # every unit persists verbatim
+            continue
         outs = [e for e in big.finite_edges() if e.src == v]
+        ops = {p: maps(p) for p in paths}
+        ext = {p: [maps(extended(p, e)) for e in outs] for p in paths}
         for a in paths:
             for b in paths:
-                lhs = ops[a] @ ops[b].transpose()
-                if big.is_sink(v):
-                    rhs = lhs  # the unit persists verbatim
-                else:
-                    rhs = IntMatrix.zero(rep_big.dim)
-                    for e in outs:
-                        ae = rep_big.path_matrix(extended(a, e))
-                        be = rep_big.path_matrix(extended(b, e))
-                        rhs = rhs + ae @ be.transpose()
+                rhs: dict[int, int] = {}
+                for ae, be in zip(ext[a], ext[b]):
+                    for pos in matrix_unit(ae, be, dim):
+                        rhs[pos] = rhs.get(pos, 0) + 1
                 checked += 1
-                if lhs != rhs:
+                if rhs != matrix_unit(ops[a], ops[b], dim):
                     failures.append(f"unit ({a.label()}, {b.label()}) at {v}")
     return EmbedReport(not failures, checked, failures)

@@ -11,7 +11,12 @@ projection is nonzero — so the model is a faithful copy of the relative
 algebra whenever every cycle has an exit (vacuous here: no cycles at all).
 
 All arithmetic is integer-exact; dimensions come from rank computations
-over the rationals, never from floating point.
+over the rationals, never from floating point.  Dimensions, corners and
+the Bratteli embedding check never multiply general matrices: every
+generator is a partial permutation, so each path operator is the
+composition of its edges' col -> row maps (``PathMaps``), and the matrix
+unit S_a S_b* of two paths has a one at (S_a c, S_b c) for every basis
+vector c in both maps' domains.  The rank over those units stays exact.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from .errors import (
     CyclicGraphError,
     InfiniteBundleError,
+    InternalCheckError,
     RelativeSpecError,
     UnknownVertexError,
 )
@@ -116,16 +122,6 @@ class MatrixRep:
 
     def __post_init__(self) -> None:
         self._index = {p: i for i, p in enumerate(self.basis)}
-
-    def path_matrix(self, path: Path) -> IntMatrix:
-        """The operator of an arbitrary path: the vertex projection for a
-        trivial path, else the product of its edge isometries."""
-        if path.is_trivial:
-            return self.vertex_projections[path.source]
-        m = self.edge_isometries[path.edges[0]]
-        for eid in path.edges[1:]:
-            m = m @ self.edge_isometries[eid]
-        return m
 
 
 def build_ck_family(g: Graph, spec: RelativeSpec,
@@ -252,26 +248,55 @@ def gap_projections(rep: MatrixRep) -> dict[str, GapEntry]:
 # --- dimensions, blocks, corners -------------------------------------------
 
 
-def _operators_of_pairs(rep: MatrixRep,
-                        pairs: list[tuple[Path, Path]]) -> list[dict[int, int]]:
-    cache: dict[Path, IntMatrix] = {}
-    cache_t: dict[Path, IntMatrix] = {}
+def _generator_map(name: str, m: IntMatrix) -> dict[int, int]:
+    if not m.is_partial_permutation():
+        raise InternalCheckError(f"generator {name} is not a partial permutation")
+    return {c: r for r, c in m.entries}
 
-    def op(p: Path) -> IntMatrix:
-        m = cache.get(p)
-        if m is None:
-            m = rep.path_matrix(p)
-            cache[p] = m
+
+class PathMaps:
+    """Col -> row maps of a model's path operators.
+
+    Each generator's map is read once from its matrix, which must be a
+    partial permutation.  A trivial path's map is its vertex projection's;
+    any other path's map composes its edges' maps, memoised on the edge
+    tuple, so a path extends the map of its longest memoised prefix.
+    """
+
+    def __init__(self, rep: MatrixRep):
+        self._vertex = {v: _generator_map(f"p_{v}", m)
+                        for v, m in rep.vertex_projections.items()}
+        self._edges = {(e,): _generator_map(f"s_{e}", m)
+                       for e, m in rep.edge_isometries.items()}
+
+    def __call__(self, path: Path) -> dict[int, int]:
+        if path.is_trivial:
+            return self._vertex[path.source]
+        edges, memo = path.edges, self._edges
+        k = len(edges)
+        while k > 1 and edges[:k] not in memo:
+            k -= 1
+        m = memo[edges[:k]]
+        for j in range(k, len(edges)):
+            last = memo[edges[j:j + 1]]
+            m = {c: m[r] for c, r in last.items() if r in m}
+            memo[edges[:j + 1]] = m
         return m
 
-    def op_t(p: Path) -> IntMatrix:
-        m = cache_t.get(p)
-        if m is None:
-            m = op(p).transpose()
-            cache_t[p] = m
-        return m
 
-    return [(op(a) @ op_t(b)).vectorize() for a, b in pairs]
+def matrix_unit(ma: dict[int, int], mb: dict[int, int],
+                dim: int) -> dict[int, int]:
+    """``(S_a S_b*).vectorize()`` from the col -> row maps of two paths."""
+    return {r * dim + mb[c]: 1 for c, r in ma.items() if c in mb}
+
+
+def _unit_vectors(maps: PathMaps, groups, dim: int) -> list[dict[int, int]]:
+    """The matrix unit of every pair (a, b) within each group of paths."""
+    vectors = []
+    for group in groups:
+        ms = [maps(p) for p in group]
+        vectors.extend(matrix_unit(ma, mb, dim) for ma in ms for mb in ms)
+    return vectors
 
 
 def algebra_dimension(rep: MatrixRep) -> int:
@@ -285,8 +310,7 @@ def algebra_dimension(rep: MatrixRep) -> int:
     by_target: dict[str, list[Path]] = {}
     for p in paths:
         by_target.setdefault(p.target, []).append(p)
-    pairs = [(a, b) for group in by_target.values() for a in group for b in group]
-    return exact_rank(_operators_of_pairs(rep, pairs))
+    return exact_rank(_unit_vectors(PathMaps(rep), by_target.values(), rep.dim))
 
 
 @dataclass(frozen=True)
@@ -331,8 +355,7 @@ def corner(rep: MatrixRep, v: str) -> CornerSummary:
     for p in paths:
         if p.source == v:
             from_v.setdefault(p.target, []).append(p)
-    pairs = [(a, b) for group in from_v.values() for a in group for b in group]
-    dim = exact_rank(_operators_of_pairs(rep, pairs))
+    dim = exact_rank(_unit_vectors(PathMaps(rep), from_v.values(), rep.dim))
     terminals = set(terminal_vertices(rep.graph, rep.spec))
     reached = {p.target for p in rep.basis if p.source == v}
     return CornerSummary(v, dim, reached == terminals)

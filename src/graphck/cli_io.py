@@ -21,7 +21,8 @@ the registry lives in :mod:`graphck.citations`.
 Exit codes: 0 for an answer (including honest "unknown"), 2 for a
 malformed document or command line, 3 for an operation used outside its
 contract (cyclic graph where acyclic is needed, unknown vertex, blown
-enumeration bound, ...).
+enumeration bound, ...), 4 for a failed internal cross-check (a bug in
+the package, not in the input).
 """
 
 from __future__ import annotations
@@ -601,17 +602,29 @@ def _expand_batch(paths: list[str]) -> list[str]:
     return out
 
 
+_FAILURES = (DocumentError, PreconditionError, InternalCheckError)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and message for an error that ends a command or one
+    document of a batch."""
+    if isinstance(exc, InternalCheckError):
+        return 4, f"internal check failed: {exc}"
+    return (2 if isinstance(exc, DocumentError) else 3), str(exc)
+
+
 def _run_batch(paths: list[str], body) -> tuple[int, list[Report]]:
     paths = _expand_batch(paths)
 
     def one(path: str) -> tuple[int, Report]:
         try:
             return 0, body(load_graph_file(path), path)
-        except (DocumentError, PreconditionError) as exc:
+        except _FAILURES as exc:
+            code, message = _failure(exc)
             bad = Report("error", path)
-            bad.say(f"error: {exc}")
-            bad.data["error"] = str(exc)
-            return (2 if isinstance(exc, DocumentError) else 3), bad
+            bad.say(f"error: {message}")
+            bad.data["error"] = message
+            return code, bad
 
     # a plain loop: the documents are pure-Python CPU work, which threads
     # only serialize on the interpreter lock
@@ -668,10 +681,9 @@ def run_command(argv) -> tuple[int, str]:
         return 2, f"error: {exc}"
     try:
         code, reports = _dispatch(args)
-    except DocumentError as exc:
-        return 2, f"error: {exc}"
-    except PreconditionError as exc:
-        return 3, f"error: {exc}"
+    except _FAILURES as exc:
+        code, message = _failure(exc)
+        return code, f"error: {message}"
     if getattr(args, "json", False):
         objs = [r.to_obj() for r in reports]
         text = json.dumps(objs[0] if len(objs) == 1 else objs,

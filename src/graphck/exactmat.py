@@ -2,7 +2,11 @@
 
 Everything here is integer arithmetic; rank uses fraction-free elimination
 (cross-multiplication with gcd reduction), so no floating point ever enters
-a dimension count.
+a dimension count.  ``IntMatrix`` is the general sparse type for the
+Cuntz-Krieger relation checks; dimensions, corners and embedding checks
+compose the partial-permutation generators' maps instead (see
+``ck_matrix.PathMaps``) and hand the resulting matrix units to the exact
+``exact_rank`` below.
 """
 
 from __future__ import annotations
@@ -134,13 +138,15 @@ def exact_rank(vectors: Iterable[Mapping[int, int]]) -> int:
     reduced against the pivot rows found so far via cross-multiplication
     (keeping everything integral), then becomes a new pivot if anything
     survives.  Sorting by support size keeps the common matrix-unit inputs
-    near-orthogonal and the elimination cheap.
+    near-orthogonal and the elimination cheap.  Each vector is copied once
+    and updated in place; a row is scaled and gcd-reduced only when the
+    pivot's lead is not 1, and every new pivot is gcd-reduced.
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot position -> row
     rank = 0
-    rows = sorted((dict(v) for v in vectors), key=len)
+    rows = sorted(({k: v for k, v in vec.items() if v} for vec in vectors),
+                  key=len)
     for row in rows:
-        row = {k: v for k, v in row.items() if v}
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -152,15 +158,15 @@ def exact_rank(vectors: Iterable[Mapping[int, int]]) -> int:
             a = pivot_row[lead]
             b = row[lead]
             # row := a*row - b*pivot_row  (kills position `lead`)
-            new: dict[int, int] = {}
-            for k, v in row.items():
-                new[k] = a * v
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in pivot_row.items():
-                nv = new.get(k, 0) - b * v
+                nv = row.get(k, 0) - b * v
                 if nv:
-                    new[k] = nv
+                    row[k] = nv
                 else:
-                    new.pop(k, None)
-            _reduce_row(new)
-            row = new
+                    del row[k]
+            if a != 1:
+                _reduce_row(row)
     return rank

@@ -113,7 +113,7 @@ class Graph:
     """Immutable bundle-labelled directed graph with adjacency indexes."""
 
     __slots__ = ("vertices", "bundles", "vertex_set", "_by_id", "_out", "_in",
-                 "_finite_edges")
+                 "_finite_edges", "_components")
 
     def __init__(self, vertices: Sequence[str], bundles: Sequence[EdgeBundle]):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -135,6 +135,7 @@ class Graph:
             self._out[b.src].append(b)
             self._in[b.dst].append(b)
         self._finite_edges: tuple[Edge, ...] | None = None
+        self._components: tuple[tuple[str, ...], ...] | None = None
 
     # --- structural access -------------------------------------------------
 
@@ -341,19 +342,16 @@ def enumerate_paths(g: Graph, end_at: str | None = None,
     if end_at is not None:
         g.require_vertex(end_at)
     for t in targets:
-        # grow paths backwards from the range vertex
-        stack: list[tuple[str, tuple[str, ...]]] = [(t, ())]
+        # grow paths backwards from the range vertex, carrying the vertex
+        # trail: seq[0] is the path's source
+        stack: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((), (t,))]
         while stack:
-            front, suffix = stack.pop()
-            if suffix:
-                seq = (front,) + tuple(g.resolve_edge(eid).dst for eid in suffix)
-                out.append(Path(front, t, suffix, seq))
-            else:
-                out.append(Path(t, t, (), (t,)))
+            suffix, seq = stack.pop()
+            out.append(Path(seq[0], t, suffix, seq))
             if max_len is not None and len(suffix) >= max_len:
                 continue
-            for e in into[front]:
-                stack.append((e.src, (e.id,) + suffix))
+            for e in into[seq[0]]:
+                stack.append(((e.id,) + suffix, (e.src,) + seq))
     out.sort(key=Path.sort_key)
     return out
 
@@ -496,13 +494,15 @@ def has_cycle(g: Graph) -> bool:
     return False
 
 
-def strongly_connected_components(g: Graph) -> list[list[str]]:
-    """Iterative Tarjan over bundle adjacency."""
+def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
+    """Iterative Tarjan over bundle adjacency, computed once per graph."""
+    if g._components is not None:
+        return g._components
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    components: list[list[str]] = []
+    components: list[tuple[str, ...]] = []
     counter = 0
 
     for root in g.vertices:
@@ -539,14 +539,15 @@ def strongly_connected_components(g: Graph) -> list[list[str]]:
                     comp.append(w)
                     if w == v:
                         break
-                components.append(comp)
+                components.append(tuple(comp))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-    return components
+    g._components = tuple(components)
+    return g._components
 
 
-def _scc_is_cyclic(g: Graph, comp: list[str]) -> bool:
+def _scc_is_cyclic(g: Graph, comp: Sequence[str]) -> bool:
     if len(comp) > 1:
         return True
     v = comp[0]

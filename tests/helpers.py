@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -13,6 +14,8 @@ from graphck import (
     UNCOUNTABLE,
     EdgeBundle,
     Graph,
+    IntMatrix,
+    Path,
     build_graph,
     enumerate_paths,
     finite,
@@ -195,6 +198,87 @@ def brute_reaches_all_singular(g: Graph) -> bool:
         if back != g.vertex_set:
             return False
     return True
+
+
+# --- general-product model oracles ---------------------------------------------------
+#
+# The route the model code took before path operators became composed
+# partial permutations: every operator is an honest IntMatrix product.
+
+
+def product_path_matrix(rep, path: Path) -> IntMatrix:
+    """A path's operator: its vertex projection when trivial, else the
+    product of its edge isometries."""
+    if path.is_trivial:
+        return rep.vertex_projections[path.source]
+    m = rep.edge_isometries[path.edges[0]]
+    for eid in path.edges[1:]:
+        m = m @ rep.edge_isometries[eid]
+    return m
+
+
+def product_unit_vectors(rep, groups) -> list[dict[int, int]]:
+    """``(S_a @ S_b.T).vectorize()`` for every pair within each group of
+    paths."""
+    out = []
+    for group in groups:
+        ops = [product_path_matrix(rep, p) for p in group]
+        for a in ops:
+            for b in ops:
+                out.append((a @ b.transpose()).vectorize())
+    return out
+
+
+def product_embed_check(rep_small, rep_big) -> tuple[bool, int, list[str]]:
+    """``embed_check``'s (ok, pairs_checked, failures) by IntMatrix sums of
+    products."""
+    big = rep_big.graph
+    by_target: dict[str, list[Path]] = {}
+    for p in rep_small.basis:
+        by_target.setdefault(p.target, []).append(p)
+    checked = 0
+    failures = []
+    for v, paths in sorted(by_target.items()):
+        outs = [e for e in big.finite_edges() if e.src == v]
+        for a in paths:
+            for b in paths:
+                lhs = (product_path_matrix(rep_big, a)
+                       @ product_path_matrix(rep_big, b).transpose())
+                rhs = lhs if big.is_sink(v) else IntMatrix.zero(rep_big.dim)
+                for e in outs:
+                    ae = Path(a.source, e.dst, a.edges + (e.id,),
+                              a.vertex_seq + (e.dst,))
+                    be = Path(b.source, e.dst, b.edges + (e.id,),
+                              b.vertex_seq + (e.dst,))
+                    rhs = rhs + (product_path_matrix(rep_big, ae)
+                                 @ product_path_matrix(rep_big, be).transpose())
+                checked += 1
+                if lhs != rhs:
+                    failures.append(f"unit ({a.label()}, {b.label()}) at {v}")
+    return not failures, checked, failures
+
+
+def fraction_rank(vectors) -> int:
+    """Rank over Q by Gaussian elimination on Fraction rows.  A row is
+    reduced by the pivot that leads at its largest position until it
+    vanishes or, normalised to lead 1 there, becomes a new pivot."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for vec in vectors:
+        row = {k: Fraction(v) for k, v in vec.items() if v}
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = {k: v / row[col] for k, v in row.items()}
+                break
+            factor = row[col]
+            for k, v in pivot.items():
+                nv = row.get(k, 0) - factor * v
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+    return len(pivots)
 
 
 # --- hypothesis strategies -----------------------------------------------------------

@@ -1,6 +1,8 @@
 # Chains of single matrix blocks, their limits, and the embedding check.
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphck import (
     BratteliChain,
@@ -23,7 +25,7 @@ from graphck import (
 )
 from graphck.bratteli import CORNER, TAIL
 
-from helpers import two_sinks
+from helpers import graphs, product_embed_check, two_sinks
 
 
 # --- chain construction -------------------------------------------------------
@@ -254,3 +256,27 @@ def test_embed_check_honest_failure():
     report = embed_check(small, big)
     assert not report.ok
     assert any("at w" in f for f in report.failures)
+
+
+@st.composite
+def stage_pairs(draw):
+    """A random acyclic multigraph and a subgraph of it: some of its
+    bundles, and the vertices they touch plus a random subset of the rest."""
+    big = draw(graphs(acyclic=True, max_vertices=5, max_bundles=6))
+    kept = [b for b in big.bundles if draw(st.booleans())]
+    touched = {v for b in kept for v in (b.src, b.dst)}
+    vs = [v for v in big.vertices if v in touched or draw(st.booleans())]
+    return build_graph(vs or big.vertices[:1], kept), big
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage_pairs())
+def test_embed_check_matches_product_route(pair):
+    small_g, big_g = pair
+    for small_spec in (RelativeSpec.full(small_g), RelativeSpec.toeplitz()):
+        for big_spec in (RelativeSpec.full(big_g), RelativeSpec.toeplitz()):
+            small = build_ck_family(small_g, small_spec)
+            big = build_ck_family(big_g, big_spec)
+            report = embed_check(small, big)
+            assert (report.ok, report.pairs_checked, report.failures) == \
+                product_embed_check(small, big)

@@ -11,6 +11,7 @@ from graphck import (
     EdgeBundle,
     Graph,
     InfiniteBundleError,
+    InternalCheckError,
     IntMatrix,
     Path,
     RelativeSpec,
@@ -19,6 +20,7 @@ from graphck import (
     block_decomposition,
     build_ck_family,
     corner,
+    enumerate_paths,
     export_model,
     finite,
     gap_projections,
@@ -29,7 +31,19 @@ from graphck import (
     verify_ck,
 )
 
-from helpers import diamond, g1, graphs, line, single_loop, two_sinks
+from graphck.ck_matrix import PathMaps
+
+from helpers import (
+    diamond,
+    fraction_rank,
+    g1,
+    graphs,
+    line,
+    product_path_matrix,
+    product_unit_vectors,
+    single_loop,
+    two_sinks,
+)
 
 
 def all_specs(g):
@@ -111,12 +125,16 @@ def test_g1_full_has_no_gaps():
 
 
 def test_path_matrix_products():
+    # a path's composed col -> row map is the product of its edge isometries
     g = line(3)
     rep = build_ck_family(g, RelativeSpec.full(g))
+    maps = PathMaps(rep)
     p = Path.from_edges(g, ["e0", "e1"])
-    assert rep.path_matrix(p) == \
+    assert IntMatrix.from_partial_perm(maps(p), rep.dim) == \
         rep.edge_isometries["e0"] @ rep.edge_isometries["e1"]
-    assert rep.path_matrix(Path.trivial(g, "v0")) == rep.vertex_projections["v0"]
+    trivial = Path.trivial(g, "v0")
+    assert IntMatrix.from_partial_perm(maps(trivial), rep.dim) == \
+        rep.vertex_projections["v0"]
 
 
 def test_verify_ck_passes_on_fixtures():
@@ -263,3 +281,47 @@ def test_random_full_models_block_structure(g):
     blocks = block_decomposition(rep)
     assert sum(b.size for b in blocks) == rep.dim
     assert sum(b.size ** 2 for b in blocks) == algebra_dimension(rep)
+
+
+# --- composed path maps against the general-product route ---------------------------
+
+
+def _by_target(paths):
+    out: dict[str, list[Path]] = {}
+    for p in paths:
+        out.setdefault(p.target, []).append(p)
+    return out.values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(acyclic=True, max_vertices=5, max_bundles=5))
+def test_dimension_matches_product_route_under_every_spec(g):
+    paths = enumerate_paths(g)
+    for spec in all_specs(g):
+        rep = build_ck_family(g, spec)
+        maps = PathMaps(rep)
+        for p in paths:
+            assert IntMatrix.from_partial_perm(maps(p), rep.dim) == \
+                product_path_matrix(rep, p)
+        units = product_unit_vectors(rep, _by_target(paths))
+        assert algebra_dimension(rep) == fraction_rank(units)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(acyclic=True, max_vertices=5, max_bundles=5))
+def test_corner_matches_product_route_at_every_vertex(g):
+    rep = build_ck_family(g, RelativeSpec.full(g))
+    paths = enumerate_paths(g)
+    for v in g.vertices:
+        from_v = [p for p in paths if p.source == v]
+        units = product_unit_vectors(rep, _by_target(from_v))
+        assert corner(rep, v).dimension == fraction_rank(units)
+
+
+def test_generator_that_is_not_a_partial_permutation_is_refused():
+    g = line(3)
+    rep = build_ck_family(g, RelativeSpec.full(g))
+    (pos, _), *_ = sorted(rep.edge_isometries["e1"].entries.items())
+    rep.edge_isometries["e1"].entries[pos] = 2
+    with pytest.raises(InternalCheckError, match="s_e1"):
+        algebra_dimension(rep)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from graphck import (
     DocumentError,
     EdgeBundle,
+    InternalCheckError,
     Report,
     build_graph,
     emit_graph_document,
@@ -23,6 +24,7 @@ from graphck import (
     parse_graph_document,
     run_command,
 )
+from graphck import cli_io
 from graphck.cli_io import ClaimLine
 from graphck.citations import known_tags
 
@@ -464,4 +466,38 @@ def test_batch_reports_precondition_per_file(tmp_path):
     assert code == 3
     objs = json.loads(text)
     assert objs[0]["command"] == "error"
+    assert objs[1]["verdict"] == "UniqueIrrepCompacts"
+
+
+def _broken_check(*args):
+    raise InternalCheckError("routes disagree")
+
+
+def test_internal_check_failure_exits_4(tmp_path, monkeypatch):
+    doc = tmp_path / "g1.json"
+    doc.write_text(json.dumps(emit_graph_document(g1())))
+    monkeypatch.setattr(cli_io, "algebra_dimension", _broken_check)
+    code, text = run_command(["ck", "--graph", str(doc)])
+    assert code == 4
+    assert text == "error: internal check failed: routes disagree"
+
+
+def test_batch_contains_internal_check_failure_per_file(tmp_path, monkeypatch):
+    broken = tmp_path / "a_broken.json"
+    broken.write_text(json.dumps(emit_graph_document(two_sinks())))
+    fine = tmp_path / "b_fine.json"
+    fine.write_text(json.dumps(emit_graph_document(g1())))
+    verdict = cli_io.naimark_verdict
+
+    def fails_on_two_sinks(subject, depth):
+        if subject == two_sinks():
+            _broken_check()
+        return verdict(subject, depth)
+
+    monkeypatch.setattr(cli_io, "naimark_verdict", fails_on_two_sinks)
+    code, text = run_command(["classify", "--batch", str(tmp_path), "--json"])
+    assert code == 4
+    objs = json.loads(text)
+    assert objs[0]["command"] == "error"
+    assert objs[0]["error"] == "internal check failed: routes disagree"
     assert objs[1]["verdict"] == "UniqueIrrepCompacts"

@@ -1,12 +1,17 @@
-# Sparse integer matrices; rank checked against a dense Fraction oracle.
+# Sparse integer matrices; rank checked against Fraction elimination oracles.
 
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from graphck import IntMatrix, exact_rank
 
+from helpers import fraction_rank
 
-def fraction_rank(vectors, width):
+
+def dense_fraction_rank(vectors, width):
     # dense Gaussian elimination over Q, the textbook way
     rows = [[Fraction(v.get(i, 0)) for i in range(width)] for v in vectors]
     rank = 0
@@ -107,8 +112,27 @@ def test_rank_matches_fraction_oracle_randomized():
             support = rng.sample(range(width), rng.randint(0, width))
             vecs.append({i: rng.randint(-5, 5) for i in support})
         got = exact_rank(vecs)
-        want = fraction_rank(vecs, width)
+        want = dense_fraction_rank(vecs, width)
         assert got == want, (trial, vecs)
+
+
+# integer vectors whose entries, and so the pivots' leads, include 0, +-1,
+# +-2, +-3 and 5
+_entries = st.sampled_from([0, 1, -1, 2, -2, 3, -3, 5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 7), _entries, max_size=6),
+                max_size=10))
+def test_rank_matches_fraction_oracles_with_non_unit_leads(vecs):
+    assert exact_rank(vecs) == fraction_rank(vecs) == dense_fraction_rank(vecs, 8)
+
+
+def test_rank_leaves_its_input_unchanged():
+    vecs = [{0: 2, 1: 4}, {0: 3, 1: 0, 2: 1}, {0: -2, 1: -4}]
+    before = [dict(v) for v in vecs]
+    assert exact_rank(vecs) == 2
+    assert vecs == before
 
 
 def test_rank_with_large_entries_stays_exact():

@@ -270,6 +270,17 @@ def test_enumerate_paths_sorted_and_unique():
     assert ps == sorted(ps, key=Path.sort_key)
 
 
+def test_enumerate_paths_vertex_trails():
+    # each trail equals the one rebuilt from the edge ids
+    multi = Graph(["a", "b", "c"], [EdgeBundle("x", "a", "b", finite(2)),
+                                    EdgeBundle("y", "b", "c", finite(3))])
+    for g, ps in ((diamond(), enumerate_paths(diamond())),
+                  (multi, enumerate_paths(multi)),
+                  (rose(2), enumerate_paths(rose(2), max_len=3))):
+        for p in ps:
+            p.validate(g)
+
+
 def test_count_paths_matches_enumeration():
     for g in (g1(), two_sinks(), line(4), diamond(), ladder_family(2).stage(3)):
         by_end = count_paths_ending(g)
@@ -332,6 +343,9 @@ def test_sccs():
     g = graph_of(3, [("v0", "v1"), ("v1", "v0"), ("v1", "v2")])
     comps = strongly_connected_components(g)
     assert sorted(map(sorted, comps)) == [["v0", "v1"], ["v2"]]
+    # computed once per graph, in a shape no caller can change
+    assert strongly_connected_components(g) is comps
+    assert all(isinstance(c, tuple) for c in (comps, *comps))
 
 
 # --- cycle structure and condition (L) ------------------------------------------
