@@ -10,13 +10,20 @@ precisely the vertices of S, and every vertex projection and every gap
 projection is nonzero — so the model is a faithful copy of the relative
 algebra whenever every cycle has an exit (vacuous here: no cycles at all).
 
-All arithmetic is integer-exact; dimensions come from rank computations
-over the rationals, never from floating point.  Dimensions, corners and
-the Bratteli embedding check never multiply general matrices: every
-generator is a partial permutation, so each path operator is the
-composition of its edges' col -> row maps (``PathMaps``), and the matrix
-unit S_a S_b* of two paths has a one at (S_a c, S_b c) for every basis
-vector c in both maps' domains.  The rank over those units stays exact.
+All arithmetic is integer-exact; no float ever decides a dimension.
+Dimensions, corners and the Bratteli embedding check never multiply
+general matrices: every generator is a partial permutation, so each path
+operator is the composition of its edges' col -> row maps (``PathMaps``),
+and the matrix unit S_a S_b* of two paths has a one at (S_a c, S_b c) for
+every basis vector c in both maps' domains.
+
+A dimension is the exact rank over the rationals of the span of those
+units, certified from the maps in time linear in their size
+(``_certified_rank``): the relations in map form put every unit in the
+span of the units of basis-path pairs, which lead at distinct positions,
+so the rank is the sum over terminal vertices of the squared number of
+basis paths into each.  Elimination over every path-pair unit
+(``exactmat.exact_rank``) is the test suite's oracle route.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ from .errors import (
     RelativeSpecError,
     UnknownVertexError,
 )
-from .exactmat import IntMatrix, exact_rank
+from .exactmat import IntMatrix
 from .graph_model import (
     Graph,
     Path,
+    count_paths_ending,
+    count_paths_from,
     enumerate_paths,
     has_cycle,
     regular_vertices,
@@ -264,14 +273,17 @@ class PathMaps:
     """
 
     def __init__(self, rep: MatrixRep):
-        self._vertex = {v: _generator_map(f"p_{v}", m)
-                        for v, m in rep.vertex_projections.items()}
+        self.vertex = {v: _generator_map(f"p_{v}", m)
+                       for v, m in rep.vertex_projections.items()}
         self._edges = {(e,): _generator_map(f"s_{e}", m)
                        for e, m in rep.edge_isometries.items()}
 
+    def edge(self, e: str) -> dict[int, int]:
+        return self._edges[(e,)]
+
     def __call__(self, path: Path) -> dict[int, int]:
         if path.is_trivial:
-            return self._vertex[path.source]
+            return self.vertex[path.source]
         edges, memo = path.edges, self._edges
         k = len(edges)
         while k > 1 and edges[:k] not in memo:
@@ -290,27 +302,82 @@ def matrix_unit(ma: dict[int, int], mb: dict[int, int],
     return {r * dim + mb[c]: 1 for c, r in ma.items() if c in mb}
 
 
-def _unit_vectors(maps: PathMaps, groups, dim: int) -> list[dict[int, int]]:
-    """The matrix unit of every pair (a, b) within each group of paths."""
-    vectors = []
-    for group in groups:
-        ms = [maps(p) for p in group]
-        vectors.extend(matrix_unit(ma, mb, dim) for ma in ms for mb in ms)
-    return vectors
+def _check_spanning(rep: MatrixRep, maps: PathMaps) -> None:
+    """Upper bound: the units of pairs of basis paths span every unit.
+
+    With each p_v diagonal, s_e* s_e = p_r(e) for every edge, and
+    p_v = sum of s_e s_e* over the edges out of each imposed vertex v,
+    S_a S_b* = S_a p_v S_b* = sum_e S_ae S_be* whenever a and b share the
+    imposed range v.  The graph is acyclic, so repeating this ends in
+    pairs with a terminal range, which are pairs of basis paths.
+    """
+    for v, m in maps.vertex.items():
+        if any(c != r for c, r in m.items()):
+            raise InternalCheckError(
+                f"vertex projection p_{v} is not diagonal")
+    covered: dict[str, set[int]] = {v: set() for v in rep.spec.imposed}
+    for e in rep.graph.finite_edges():
+        m = maps.edge(e.id)
+        if m.keys() != maps.vertex[e.dst].keys():
+            raise InternalCheckError(
+                f"edge {e.id}: domain differs from the support of p_{e.dst}")
+        seen = covered.get(e.src)
+        if seen is not None:
+            if not seen.isdisjoint(m.values()):
+                raise InternalCheckError(
+                    f"edges out of {e.src} overlap in range")
+            seen.update(m.values())
+    for v, seen in sorted(covered.items()):
+        if seen != maps.vertex[v].keys():
+            raise InternalCheckError(f"edges out of {v} do not cover p_{v}")
+
+
+def _certified_rank(rep: MatrixRep, source: str | None) -> int:
+    """Exact rank of the span of every unit S_a S_b* with a, b sharing a
+    range (and both starting at ``source``, unless it is None).
+
+    ``_check_spanning`` bounds the rank above by the units of basis-path
+    pairs.  Below: every basis path a into t sends the trivial path at t
+    to a itself, as its least row, so (index a, index b) is the least
+    position of S_a S_b*.  Distinct pairs lead at distinct positions, so
+    their units are independent.  With the basis holding every path into
+    each terminal t (checked against the path-count DP), the rank is the
+    sum of n_t squared, n_t the number of basis paths into t.  Cost:
+    the size of the path maps; no pair is formed.
+    """
+    g = rep.graph
+    maps = PathMaps(rep)
+    _check_spanning(rep, maps)
+    trivial = {t: rep.index_of(Path(t, t, (), (t,)))
+               for t in terminal_vertices(g, rep.spec)}
+    counts = dict.fromkeys(trivial, 0)
+    for i, a in enumerate(rep.basis):
+        if source is not None and a.source != source:
+            continue
+        t = a.target
+        m = maps(a)
+        if m.get(trivial.get(t)) != i or min(m.values()) != i:
+            raise InternalCheckError(
+                f"path {a.label()} does not send {t} to itself "
+                "as its least row")
+        counts[t] += 1
+    expected = (count_paths_ending(g) if source is None
+                else count_paths_from(g, source))
+    total = 0
+    for t, n in counts.items():
+        if n != expected[t]:
+            raise InternalCheckError(
+                f"basis holds {n} of the {expected[t]} paths into {t}")
+        total += n * n
+    return total
 
 
 def algebra_dimension(rep: MatrixRep) -> int:
-    """Linear dimension of the span of all path-pair operators, by exact
-    rank over the rationals.
-
-    Equals the sum over terminal vertices of the squared count of basis
-    paths ending there (each terminal contributes a full matrix block).
-    """
-    paths = enumerate_paths(rep.graph)
-    by_target: dict[str, list[Path]] = {}
-    for p in paths:
-        by_target.setdefault(p.target, []).append(p)
-    return exact_rank(_unit_vectors(PathMaps(rep), by_target.values(), rep.dim))
+    """Linear dimension of the span of all path-pair operators S_a S_b*
+    (a, b with a common range): the exact rank over the rationals, certified
+    from the path maps as the sum over terminal vertices of the squared
+    count of basis paths ending there (one full matrix block each)."""
+    return _certified_rank(rep, None)
 
 
 @dataclass(frozen=True)
@@ -345,17 +412,14 @@ def corner(rep: MatrixRep, v: str) -> CornerSummary:
     """The compression of the model by one vertex projection.
 
     Its dimension is the exact rank of the span of path-pair operators
-    with both paths starting at the vertex.  The corner is full exactly
-    when the vertex projection meets every matrix block, i.e. when every
-    terminal vertex is the range of some path from ``v``.
+    with both paths starting at the vertex, certified from the path maps
+    as the sum of squared counts of basis paths from ``v`` into each
+    terminal vertex.  The corner is full exactly when the vertex
+    projection meets every matrix block, i.e. when every terminal vertex
+    is the range of some path from ``v``.
     """
     rep.graph.require_vertex(v)
-    paths = enumerate_paths(rep.graph)
-    from_v: dict[str, list[Path]] = {}
-    for p in paths:
-        if p.source == v:
-            from_v.setdefault(p.target, []).append(p)
-    dim = exact_rank(_unit_vectors(PathMaps(rep), from_v.values(), rep.dim))
+    dim = _certified_rank(rep, v)
     terminals = set(terminal_vertices(rep.graph, rep.spec))
     reached = {p.target for p in rep.basis if p.source == v}
     return CornerSummary(v, dim, reached == terminals)

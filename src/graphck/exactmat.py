@@ -2,11 +2,12 @@
 
 Everything here is integer arithmetic; rank uses fraction-free elimination
 (cross-multiplication with gcd reduction), so no floating point ever enters
-a dimension count.  ``IntMatrix`` is the general sparse type for the
-Cuntz-Krieger relation checks; dimensions, corners and embedding checks
-compose the partial-permutation generators' maps instead (see
-``ck_matrix.PathMaps``) and hand the resulting matrix units to the exact
-``exact_rank`` below.
+it.  ``IntMatrix`` is the general sparse type for the Cuntz-Krieger
+relation checks; dimensions, corners and embedding checks compose the
+partial-permutation generators' maps instead (see ``ck_matrix.PathMaps``),
+and dimensions and corners are certified from those maps without forming
+any matrix unit.  ``exact_rank`` below, over every path-pair unit, is the
+oracle route the tests compare that certificate with.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ class Graph:
     """Immutable bundle-labelled directed graph with adjacency indexes."""
 
     __slots__ = ("vertices", "bundles", "vertex_set", "_by_id", "_out", "_in",
-                 "_finite_edges", "_components")
+                 "_finite_edges", "_components", "_kinds")
 
     def __init__(self, vertices: Sequence[str], bundles: Sequence[EdgeBundle]):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -136,6 +136,7 @@ class Graph:
             self._in[b.dst].append(b)
         self._finite_edges: tuple[Edge, ...] | None = None
         self._components: tuple[tuple[str, ...], ...] | None = None
+        self._kinds: tuple[tuple[str, ...], tuple[str, ...]] | None = None
 
     # --- structural access -------------------------------------------------
 
@@ -420,8 +421,23 @@ def vertex_classes(g: Graph) -> dict[str, VertexClass]:
     return out
 
 
+def _sinks_and_regular(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Sinks and regular vertices in graph order, computed once per graph
+    and cached on it."""
+    if g._kinds is None:
+        sk, regular = [], []
+        for v in g.vertices:
+            out = g._out[v]
+            if not out:
+                sk.append(v)
+            elif all(b.cardinality.is_finite for b in out):
+                regular.append(v)
+        g._kinds = (tuple(sk), tuple(regular))
+    return g._kinds
+
+
 def sinks(g: Graph) -> list[str]:
-    return [v for v in g.vertices if g.is_sink(v)]
+    return list(_sinks_and_regular(g)[0])
 
 
 def singular_vertices(g: Graph) -> list[str]:
@@ -429,8 +445,7 @@ def singular_vertices(g: Graph) -> list[str]:
 
 
 def regular_vertices(g: Graph) -> list[str]:
-    return [v for v in g.vertices
-            if not g.is_sink(v) and not g.emits_infinitely(v)]
+    return list(_sinks_and_regular(g)[1])
 
 
 # --- reachability and cycles --------------------------------------------------

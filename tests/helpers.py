@@ -18,8 +18,10 @@ from graphck import (
     Path,
     build_graph,
     enumerate_paths,
+    exact_rank,
     finite,
 )
+from graphck.ck_matrix import PathMaps, matrix_unit
 
 # --- fixed examples -----------------------------------------------------------
 
@@ -256,6 +258,22 @@ def product_embed_check(rep_small, rep_big) -> tuple[bool, int, list[str]]:
                 if lhs != rhs:
                     failures.append(f"unit ({a.label()}, {b.label()}) at {v}")
     return not failures, checked, failures
+
+
+def rank_dimension(rep, source: str | None) -> int:
+    """The elimination route that the dimension certificate replaced:
+    ``exact_rank`` over the matrix unit of every pair of paths with a
+    common range, both paths starting at ``source`` unless it is None."""
+    maps = PathMaps(rep)
+    groups: dict[str, list[Path]] = {}
+    for p in enumerate_paths(rep.graph):
+        if source is None or p.source == source:
+            groups.setdefault(p.target, []).append(p)
+    vectors = []
+    for group in groups.values():
+        ms = [maps(p) for p in group]
+        vectors.extend(matrix_unit(ma, mb, rep.dim) for ma in ms for mb in ms)
+    return exact_rank(vectors)
 
 
 def fraction_rank(vectors) -> int:

@@ -1,6 +1,9 @@
 # Finite-dimensional matrix models and their exactly-verified relations.
 
+import json
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,18 +23,22 @@ from graphck import (
     block_decomposition,
     build_ck_family,
     corner,
+    emit_graph_document,
     enumerate_paths,
     export_model,
     finite,
+    forbidden_ladder_family,
     gap_projections,
     ladder_family,
     path_basis,
     regular_vertices,
+    run_command,
     terminal_vertices,
     verify_ck,
 )
 
-from graphck.ck_matrix import PathMaps
+from graphck import cli_io
+from graphck.ck_matrix import MatrixRep, PathMaps
 
 from helpers import (
     diamond,
@@ -41,6 +48,7 @@ from helpers import (
     line,
     product_path_matrix,
     product_unit_vectors,
+    rank_dimension,
     single_loop,
     two_sinks,
 )
@@ -325,3 +333,159 @@ def test_generator_that_is_not_a_partial_permutation_is_refused():
     rep.edge_isometries["e1"].entries[pos] = 2
     with pytest.raises(InternalCheckError, match="s_e1"):
         algebra_dimension(rep)
+
+
+# --- the rank certificate against the elimination route ---------------------------
+
+
+# (family, deepest stage, partial spec): the stages and specs of the
+# benchmark's model commands, every stage up to the deepest; ladder3 runs
+# only under the full spec there, and the Toeplitz spec stands in
+_RANK_ORACLE_STAGES = (
+    (ladder_family(2), 8, {"w_1", "w_3", "w_5"}),
+    (ladder_family(3), 5, set()),
+    (forbidden_ladder_family(), 7, {"v_1", "v_2", "v_3", "v_4", "v_5"}),
+)
+
+
+@pytest.mark.parametrize("sg, depth, partial", _RANK_ORACLE_STAGES,
+                         ids=["ladder2", "ladder3", "forbidden_ladder"])
+def test_certificate_matches_elimination_route_on_family_stages(sg, depth,
+                                                                partial):
+    for n in range(1, depth + 1):
+        g = sg.stage(n)
+        full = RelativeSpec.full(g)
+        specs = {full, RelativeSpec.of(partial & full.imposed)}
+        for spec in specs:
+            rep = build_ck_family(g, spec)
+            assert algebra_dimension(rep) == rank_dimension(rep, None), \
+                (n, spec)
+            for v in g.vertices:
+                assert corner(rep, v).dimension == rank_dimension(rep, v), \
+                    (n, spec, v)
+
+
+# --- each certificate check fails on a tampered model ----------------------------
+
+
+def _parallel_pair() -> Graph:
+    # basis w, e#0, e#1; s_e#0 sends w to row 1, s_e#1 sends it to row 2
+    return Graph(["v", "w"], [EdgeBundle("e", "v", "w", finite(2))])
+
+
+def _drop_edge_entry(rep):
+    rep.edge_isometries["e"].entries.clear()
+
+
+def _overlap_ranges(rep):
+    rep.edge_isometries["e#1"].entries = {(1, 0): 1}
+
+
+def _miss_part_of_pv(rep):
+    rep.edge_isometries["e#1"].entries = {(0, 0): 1}
+
+
+def _twist_projection(rep):
+    rep.vertex_projections["v"].entries = {(1, 2): 1, (2, 1): 1}
+
+
+# the Toeplitz basis of line(3) is v0, v1, v2, e0, e1, e0.e1, and s_e0
+# sends v1 to e0 and e1 to e0.e1
+
+
+def _swap_isometry_rows(rep):
+    rep.edge_isometries["e0"].entries = {(5, 1): 1, (3, 4): 1}
+
+
+def _lower_a_row(rep):
+    rep.edge_isometries["e0"].entries = {(3, 1): 1, (0, 4): 1}
+
+
+_TAMPERED = [
+    (g1, "all", _drop_edge_entry,
+     "edge e: domain differs from the support of p_w"),
+    (_parallel_pair, "all", _overlap_ranges, "edges out of v overlap in range"),
+    (_parallel_pair, "all", _miss_part_of_pv, "edges out of v do not cover p_v"),
+    (_parallel_pair, "all", _twist_projection,
+     "vertex projection p_v is not diagonal"),
+    (lambda: line(3), "none", _swap_isometry_rows,
+     "path e0 does not send v1 to itself as its least row"),
+    (lambda: line(3), "none", _lower_a_row,
+     "path e0 does not send v1 to itself as its least row"),
+]
+
+
+@pytest.mark.parametrize("make, relative, tamper, message", _TAMPERED,
+                         ids=["domain", "overlap", "cover", "diagonal", "lead",
+                              "least_row"])
+def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
+                                              tmp_path, monkeypatch):
+    g = make()
+    spec = RelativeSpec.full(g) if relative == "all" else RelativeSpec.toeplitz()
+    rep = build_ck_family(g, spec)
+    tamper(rep)
+    assert all(m.is_partial_permutation()
+               for m in rep.edge_isometries.values())
+    with pytest.raises(InternalCheckError) as ei:
+        algebra_dimension(rep)
+    assert str(ei.value) == message
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        corner(rep, g.vertices[0])
+
+    build = cli_io.build_ck_family
+
+    def tampered_build(*args):
+        out = build(*args)
+        tamper(out)
+        return out
+
+    monkeypatch.setattr(cli_io, "build_ck_family", tampered_build)
+    doc = tmp_path / "g.json"
+    doc.write_text(json.dumps(emit_graph_document(g)))
+    code, text = run_command(["ck", "--graph", str(doc), "--relative", relative])
+    assert (code, text) == (4, f"error: internal check failed: {message}")
+
+
+def test_basis_missing_a_path_fails_its_certificate():
+    # g1's Toeplitz model without the basis path e: every map check
+    # passes, but the units of (w, e), (e, w) and (e, e) would be missed
+    g = g1()
+    v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
+    rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w),
+                    {"v": IntMatrix.from_diag([0], 2),
+                     "w": IntMatrix.from_diag([1], 2)},
+                    {"e": IntMatrix.from_partial_perm({1: 0}, 2)})
+    with pytest.raises(InternalCheckError,
+                       match="basis holds 1 of the 2 paths into w"):
+        algebra_dimension(rep)
+
+
+# --- deep models -------------------------------------------------------------------
+
+
+def test_deep_ladder_dimensions_neither_eliminate_nor_enumerate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dimensions must not eliminate or enumerate")
+
+    build = cli_io.build_ck_family
+
+    def build_then_refuse(*args):
+        rep = build(*args)  # the basis itself is enumerated
+        for name, mod in list(sys.modules.items()):
+            if name == "graphck" or name.startswith("graphck."):
+                for attr in ("exact_rank", "enumerate_paths"):
+                    if hasattr(mod, attr):
+                        monkeypatch.setattr(mod, attr, refuse)
+        return rep
+
+    monkeypatch.setattr(cli_io, "build_ck_family", build_then_refuse)
+    code, text = run_command(["ck", "--family", "ladder2", "--depth", "12",
+                              "--relative", "all", "--json"])
+    assert code == 0
+    assert json.loads(text)["dimension"] == (2 ** 12 - 1) ** 2
+    monkeypatch.undo()  # corner's own build enumerates its basis again
+    monkeypatch.setattr(cli_io, "build_ck_family", build_then_refuse)
+    code, text = run_command(["corner", "--family", "ladder2", "--depth", "12",
+                              "--vertex", "w_1", "--json"])
+    assert code == 0
+    assert json.loads(text)["dimension"] == (2 ** 11) ** 2

@@ -193,6 +193,20 @@ def test_vertex_classes_on_mixed_graph():
     assert regular_vertices(g) == ["r"]
 
 
+def test_sinks_and_regular_vertices_are_cached():
+    g = Graph(["s", "r", "i"], [EdgeBundle("e", "r", "s", finite(2)),
+                                EdgeBundle("f", "i", "s", ALEPH0)])
+    assert g._kinds is None
+    assert (sinks(g), regular_vertices(g)) == (["s"], ["r"])
+    kinds = g._kinds
+    assert kinds == (("s",), ("r",))
+    # later calls read the cache, and each hands out its own list
+    sinks(g).append("x")
+    regular_vertices(g).clear()
+    assert (sinks(g), regular_vertices(g)) == (["s"], ["r"])
+    assert g._kinds is kinds
+
+
 # --- paths --------------------------------------------------------------------
 
 
