@@ -10,20 +10,17 @@ precisely the vertices of S, and every vertex projection and every gap
 projection is nonzero — so the model is a faithful copy of the relative
 algebra whenever every cycle has an exit (vacuous here: no cycles at all).
 
-All arithmetic is integer-exact; no float ever decides a dimension.
-Dimensions, corners and the Bratteli embedding check never multiply
-general matrices: every generator is a partial permutation, so each path
-operator is the composition of its edges' col -> row maps (``PathMaps``),
-and the matrix unit S_a S_b* of two paths has a one at (S_a c, S_b c) for
-every basis vector c in both maps' domains.
-
-A dimension is the exact rank over the rationals of the span of those
-units, certified from the maps in time linear in their size
-(``_certified_rank``): the relations in map form put every unit in the
-span of the units of basis-path pairs, which lead at distinct positions,
-so the rank is the sum over terminal vertices of the squared number of
-basis paths into each.  Elimination over every path-pair unit
-(``exactmat.exact_rank``) is the test suite's oracle route.
+All arithmetic is integer-exact; no float ever decides a dimension, and
+no matrix is ever multiplied: every generator is a partial permutation,
+stored as an ``IntMatrix`` and read as its col -> row map (``PathMaps``).
+A path operator composes its edges' maps, and the matrix unit S_a S_b*
+of two paths has a one at (S_a c, S_b c) for every basis vector c in both
+maps' domains.  The relations are checked once, on the maps, in time
+linear in their size; ``verify_ck`` reports them and the dimension
+certificate (``_certified_rank``) requires them.  The certified rank is
+the sum over terminal vertices of the squared number of basis paths into
+each.  Elimination over every path-pair unit, and the relations as
+``IntMatrix`` products, are the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -158,109 +155,18 @@ def build_ck_family(g: Graph, spec: RelativeSpec,
     return MatrixRep(g, spec, tuple(basis), projections, isometries)
 
 
-# --- verification ---------------------------------------------------------
+# --- generator maps ---------------------------------------------------------
 
-
-@dataclass
-class CkReport:
-    """Outcome of the exact identity checks, listing every failure."""
-
-    ck1: bool                      # s*th s = range projection, per edge
-    ck2: bool                      # range projection under source projection
-    ck3_at: dict[str, bool]        # summation identity per regular vertex
-    mutual_orthogonality: bool
-    failures: list[str]
-
-    def ck3_exactly_at(self, imposed: frozenset[str]) -> bool:
-        return all(held == (v in imposed) for v, held in self.ck3_at.items())
-
-    @property
-    def all_imposed_hold(self) -> bool:
-        return self.ck1 and self.ck2 and self.mutual_orthogonality
-
-
-def verify_ck(rep: MatrixRep) -> CkReport:
-    """Check every Cuntz-Krieger identity by honest matrix arithmetic."""
-    g = rep.graph
-    failures: list[str] = []
-    edges = g.finite_edges()
-    range_proj: dict[str, IntMatrix] = {}
-
-    ck1_ok = True
-    ck2_ok = True
-    for e in edges:
-        s = rep.edge_isometries[e.id]
-        r = s @ s.transpose()
-        range_proj[e.id] = r
-        if s.transpose() @ s != rep.vertex_projections[e.dst]:
-            ck1_ok = False
-            failures.append(f"ck1 fails at edge {e.id}")
-        if r @ rep.vertex_projections[e.src] != r:
-            ck2_ok = False
-            failures.append(f"ck2 fails at edge {e.id}")
-
-    mutual = True
-    verts = list(g.vertices)
-    for i, v in enumerate(verts):
-        pv = rep.vertex_projections[v]
-        for w in verts[i + 1:]:
-            if not (pv @ rep.vertex_projections[w]).is_zero():
-                mutual = False
-                failures.append(f"vertex projections {v}, {w} not orthogonal")
-    ids = [e.id for e in edges]
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if not (range_proj[a] @ range_proj[b]).is_zero():
-                mutual = False
-                failures.append(f"edge ranges {a}, {b} not orthogonal")
-
-    ck3: dict[str, bool] = {}
-    for v in regular_vertices(g):
-        total = IntMatrix.zero(rep.dim)
-        for e in edges:
-            if e.src == v:
-                total = total + range_proj[e.id]
-        held = total == rep.vertex_projections[v]
-        ck3[v] = held
-        if held != (v in rep.spec.imposed):
-            failures.append(
-                f"ck3 at {v}: held={held}, imposed={v in rep.spec.imposed}")
-    return CkReport(ck1_ok, ck2_ok, ck3, mutual, failures)
-
-
-@dataclass(frozen=True)
-class GapEntry:
-    matrix: IntMatrix
-    nonzero: bool
-
-
-def gap_projections(rep: MatrixRep) -> dict[str, GapEntry]:
-    """The defect of the summation identity at each regular vertex outside
-    the imposed set.  Every entry is an idempotent; with the path basis it
-    is the rank-one projection onto the vertex's own trivial path."""
-    g = rep.graph
-    out: dict[str, GapEntry] = {}
-    for v in regular_vertices(g):
-        if v in rep.spec.imposed:
-            continue
-        q = rep.vertex_projections[v]
-        for e in g.finite_edges():
-            if e.src == v:
-                s = rep.edge_isometries[e.id]
-                q = q - (s @ s.transpose())
-        if not q.is_idempotent():
-            raise RelativeSpecError(f"gap at {v} is not a projection")
-        out[v] = GapEntry(q, not q.is_zero())
-    return out
-
-
-# --- dimensions, blocks, corners -------------------------------------------
+_ONE = frozenset({1})
 
 
 def _generator_map(name: str, m: IntMatrix) -> dict[int, int]:
-    if not m.is_partial_permutation():
+    """The col -> row map; ``m.is_partial_permutation()``, in one pass."""
+    cols = {c: r for r, c in m.entries}
+    if not (len(cols) == len(m.entries) == len(set(cols.values()))
+            and _ONE.issuperset(m.entries.values())):
         raise InternalCheckError(f"generator {name} is not a partial permutation")
-    return {c: r for r, c in m.entries}
+    return cols
 
 
 class PathMaps:
@@ -302,43 +208,156 @@ def matrix_unit(ma: dict[int, int], mb: dict[int, int],
     return {r * dim + mb[c]: 1 for c, r in ma.items() if c in mb}
 
 
-def _check_spanning(rep: MatrixRep, maps: PathMaps) -> None:
-    """Upper bound: the units of pairs of basis paths span every unit.
+# --- verification ---------------------------------------------------------
 
-    With each p_v diagonal, s_e* s_e = p_r(e) for every edge, and
-    p_v = sum of s_e s_e* over the edges out of each imposed vertex v,
-    S_a S_b* = S_a p_v S_b* = sum_e S_ae S_be* whenever a and b share the
-    imposed range v.  The graph is acyclic, so repeating this ends in
-    pairs with a terminal range, which are pairs of basis paths.
-    """
-    for v, m in maps.vertex.items():
-        if any(c != r for c, r in m.items()):
-            raise InternalCheckError(
-                f"vertex projection p_{v} is not diagonal")
-    covered: dict[str, set[int]] = {v: set() for v in rep.spec.imposed}
-    for e in rep.graph.finite_edges():
+
+@dataclass
+class CkReport:
+    """Outcome of the exact identity checks, listing every failure."""
+
+    ck1: bool                      # s*th s = range projection, per edge
+    ck2: bool                      # range projection under source projection
+    ck3_at: dict[str, bool]        # summation identity per regular vertex
+    mutual_orthogonality: bool
+    failures: list[str]
+
+    def ck3_exactly_at(self, imposed: frozenset[str]) -> bool:
+        return all(held == (v in imposed) for v, held in self.ck3_at.items())
+
+    @property
+    def all_imposed_hold(self) -> bool:
+        return self.ck1 and self.ck2 and self.mutual_orthogonality
+
+
+def _is_diagonal(m: dict[int, int]) -> bool:
+    return list(m) == list(m.values())
+
+
+def _covers(g: Graph, edge_map) -> dict[str, tuple[set[int], bool]]:
+    """Per vertex, the union of its out-edges' ranges and whether those
+    are pairwise disjoint (their sizes add up to the union's size)."""
+    covered: dict[str, set[int]] = {v: set() for v in g.vertices}
+    sizes = dict.fromkeys(g.vertices, 0)
+    for e in g.finite_edges():
+        rows = edge_map(e.id).values()
+        covered[e.src].update(rows)
+        sizes[e.src] += len(rows)
+    return {v: (c, sizes[v] == len(c)) for v, c in covered.items()}
+
+
+def _meeting_pairs(names: list[str], domains: list, ranges: list
+                   ) -> list[tuple[str, str]]:
+    """Pairs (a, b) of ``names``, a listed before b, where a's domain meets
+    b's range: exactly the pairs whose product a @ b is nonzero.  One owner
+    table over basis positions names the domains holding each position."""
+    owner: dict[int, tuple[int, ...]] = {}
+    for i, dom in enumerate(domains):
+        owner.update(dict.fromkeys(dom, (i,)))
+    if len(owner) < sum(map(len, domains)):  # shared positions: every owner
+        owner = {}
+        for i, dom in enumerate(domains):
+            for pos in dom:
+                owner[pos] = owner.get(pos, ()) + (i,)
+    pairs = {(i, j) for j, rng in enumerate(ranges)
+             for own in set(map(owner.get, rng)) if own
+             for i in own if i < j}
+    return [(names[i], names[j]) for i, j in sorted(pairs)]
+
+
+def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
+    g = rep.graph
+    vertex, edges = maps.vertex, g.finite_edges()
+    diagonal = {v: _is_diagonal(vertex[v]) for v in g.vertices}
+    failures = [f"vertex projection p_{v} is not diagonal"
+                for v in g.vertices if not diagonal[v]]
+    ck1_ok = ck2_ok = True
+    for e in edges:
         m = maps.edge(e.id)
-        if m.keys() != maps.vertex[e.dst].keys():
-            raise InternalCheckError(
-                f"edge {e.id}: domain differs from the support of p_{e.dst}")
-        seen = covered.get(e.src)
-        if seen is not None:
-            if not seen.isdisjoint(m.values()):
-                raise InternalCheckError(
-                    f"edges out of {e.src} overlap in range")
-            seen.update(m.values())
-    for v, seen in sorted(covered.items()):
-        if seen != maps.vertex[v].keys():
-            raise InternalCheckError(f"edges out of {v} do not cover p_{v}")
+        if not (diagonal[e.dst] and m.keys() == vertex[e.dst].keys()):
+            ck1_ok = False
+            failures.append(f"ck1 fails at edge {e.id}")
+        rows = list(m.values())
+        if list(map(vertex[e.src].get, rows)) != rows:
+            ck2_ok = False
+            failures.append(f"ck2 fails at edge {e.id}")
+
+    ids = [e.id for e in edges]
+    ranges = [maps.edge(a).values() for a in ids]
+    clashes = [f"vertex projections {v}, {w} not orthogonal"
+               for v, w in _meeting_pairs(
+                   g.vertices, [vertex[v] for v in g.vertices],
+                   [vertex[v].values() for v in g.vertices])]
+    clashes += [f"edge ranges {a}, {b} not orthogonal"
+                for a, b in _meeting_pairs(ids, ranges, ranges)]
+    failures += clashes
+
+    ck3: dict[str, bool] = {}
+    covers = _covers(g, maps.edge)
+    for v in regular_vertices(g):
+        covered, disjoint = covers[v]
+        held = diagonal[v] and disjoint and covered == vertex[v].keys()
+        ck3[v] = held
+        if held != (v in rep.spec.imposed):
+            failures.append(
+                f"ck3 at {v}: held={held}, imposed={v in rep.spec.imposed}")
+    return CkReport(ck1_ok, ck2_ok, ck3, not clashes, failures)
+
+
+def verify_ck(rep: MatrixRep) -> CkReport:
+    """Check every Cuntz-Krieger identity exactly, on the generators'
+    maps: each p_v is diagonal; s_e* s_e = p_r(e) (domain = support);
+    s_e s_e* <= p_s(e) (range within the support); vertex projections and
+    edge ranges are mutually orthogonal; and, per regular vertex v,
+    whether the out-edges' ranges cover p_v disjointly (the summation
+    identity)."""
+    return _relations(rep, PathMaps(rep))
+
+
+@dataclass(frozen=True)
+class GapEntry:
+    matrix: IntMatrix
+    nonzero: bool
+
+
+def gap_projections(rep: MatrixRep) -> dict[str, GapEntry]:
+    """The defect of the summation identity at each regular vertex outside
+    the imposed set: p_v minus its out-edges' range projections.  That is
+    a projection exactly when p_v is diagonal and the out-edges' ranges
+    lie disjointly in its support, and then it is the diagonal on the
+    support's uncovered positions; with the path basis it is the rank-one
+    projection onto the vertex's own trivial path."""
+    maps = PathMaps(rep)
+    covers = _covers(rep.graph, maps.edge)
+    out: dict[str, GapEntry] = {}
+    for v in regular_vertices(rep.graph):
+        if v in rep.spec.imposed:
+            continue
+        p = maps.vertex[v]
+        covered, disjoint = covers[v]
+        if not (_is_diagonal(p) and disjoint and covered <= p.keys()):
+            raise RelativeSpecError(f"gap at {v} is not a projection")
+        gap = p.keys() - covered
+        out[v] = GapEntry(IntMatrix.from_diag(gap, rep.dim), bool(gap))
+    return out
+
+
+# --- dimensions, blocks, corners -------------------------------------------
 
 
 def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     """Exact rank of the span of every unit S_a S_b* with a, b sharing a
     range (and both starting at ``source``, unless it is None).
 
-    ``_check_spanning`` bounds the rank above by the units of basis-path
-    pairs.  Below: every basis path a into t sends the trivial path at t
-    to a itself, as its least row, so (index a, index b) is the least
+    Upper bound: the relation pass (``verify_ck``'s) must find no failure.
+    Then each p_v is diagonal, s_e* s_e = p_r(e) for every edge, and
+    p_v = sum of s_e s_e* over the edges out of each imposed vertex v, so
+    S_a S_b* = S_a p_v S_b* = sum_e S_ae S_be* whenever a and b share the
+    imposed range v.  The graph is acyclic, so repeating this ends in
+    pairs with a terminal range, which are pairs of basis paths: their
+    units span every unit.
+
+    Lower bound: every basis path a into t sends the trivial path at t to
+    a itself, as its least row, so (index a, index b) is the least
     position of S_a S_b*.  Distinct pairs lead at distinct positions, so
     their units are independent.  With the basis holding every path into
     each terminal t (checked against the path-count DP), the rank is the
@@ -347,7 +366,9 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     """
     g = rep.graph
     maps = PathMaps(rep)
-    _check_spanning(rep, maps)
+    failures = _relations(rep, maps).failures
+    if failures:
+        raise InternalCheckError(failures[0])
     trivial = {t: rep.index_of(Path(t, t, (), (t,)))
                for t in terminal_vertices(g, rep.spec)}
     counts = dict.fromkeys(trivial, 0)

@@ -2,12 +2,12 @@
 
 Everything here is integer arithmetic; rank uses fraction-free elimination
 (cross-multiplication with gcd reduction), so no floating point ever enters
-it.  ``IntMatrix`` is the general sparse type for the Cuntz-Krieger
-relation checks; dimensions, corners and embedding checks compose the
-partial-permutation generators' maps instead (see ``ck_matrix.PathMaps``),
-and dimensions and corners are certified from those maps without forming
-any matrix unit.  ``exact_rank`` below, over every path-pair unit, is the
-oracle route the tests compare that certificate with.
+it.  ``IntMatrix`` is the stored and exported form of a model's
+generators; the package itself never adds, subtracts or multiplies one.
+Relations, gaps, dimensions, corners and embedding checks read the
+partial-permutation generators' col -> row maps instead (see
+``ck_matrix.PathMaps``).  The matrix algebra below, and ``exact_rank``
+over every path-pair unit, serve the tests' oracle routes.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def is_idempotent(self) -> bool:
-        return (self @ self) == self
 
     def is_partial_permutation(self) -> bool:
         rows_seen: set[int] = set()

@@ -140,9 +140,6 @@ class Graph:
 
     # --- structural access -------------------------------------------------
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertex_set
-
     def require_vertex(self, v: str) -> None:
         if v not in self.vertex_set:
             raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -295,12 +292,6 @@ class Path:
                     f"edges {a.id!r} and {b.id!r} do not compose")
         seq = (resolved[0].src,) + tuple(e.dst for e in resolved)
         return Path(resolved[0].src, resolved[-1].dst, tuple(edge_ids), seq)
-
-    def validate(self, g: Graph) -> None:
-        rebuilt = (Path.trivial(g, self.source) if self.is_trivial
-                   else Path.from_edges(g, self.edges))
-        if rebuilt != self:
-            raise GraphBuildError(f"path {self} does not live in the graph")
 
 
 @dataclass(frozen=True)
@@ -476,12 +467,6 @@ def reachable_set(g: Graph, v: str) -> frozenset[str]:
     return frozenset(traverse(g, [v], forward=True))
 
 
-def reaches(g: Graph, v: str, w: str) -> bool:
-    """BFS on bundle adjacency; reflexive by the trivial path."""
-    g.require_vertex(w)
-    return w in reachable_set(g, v)
-
-
 def topological_order(g: Graph) -> list[str]:
     """Kahn's algorithm; raises CyclicGraphError when a cycle exists."""
     indeg = {v: 0 for v in g.vertices}
@@ -502,11 +487,11 @@ def topological_order(g: Graph) -> list[str]:
 
 
 def has_cycle(g: Graph) -> bool:
-    try:
-        topological_order(g)
-    except CyclicGraphError:
-        return True
-    return False
+    """A cycle exists iff some strongly connected component has more than
+    one vertex or some bundle is a self-loop; read from the cached
+    components."""
+    return (len(strongly_connected_components(g)) < len(g.vertices)
+            or any(b.src == b.dst for b in g.bundles))
 
 
 def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
@@ -523,41 +508,37 @@ def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     for root in g.vertices:
         if root in index:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g._out[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            succs = g._out[v]
-            while pi < len(succs):
-                w = succs[pi].dst
-                pi += 1
-                work[-1] = (v, pi)
+            v, succs = work[-1]
+            for b in succs:
+                w = b.dst
                 if w not in index:
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g._out[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every successor done: v is finished
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(comp))
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     g._components = tuple(components)
     return g._components
 

@@ -12,16 +12,21 @@ from hypothesis import strategies as st
 from graphck import (
     ALEPH0,
     UNCOUNTABLE,
+    CkReport,
     EdgeBundle,
     Graph,
+    GraphBuildError,
     IntMatrix,
     Path,
+    RelativeSpecError,
     build_graph,
     enumerate_paths,
     exact_rank,
     finite,
+    reachable_set,
+    regular_vertices,
 )
-from graphck.ck_matrix import PathMaps, matrix_unit
+from graphck.ck_matrix import GapEntry, PathMaps, matrix_unit
 
 # --- fixed examples -----------------------------------------------------------
 
@@ -62,6 +67,24 @@ def diamond() -> Graph:
     return build_graph(["t", "l", "r", "b"],
                        [EdgeBundle("e1", "t", "l"), EdgeBundle("e2", "t", "r"),
                         EdgeBundle("e3", "l", "b"), EdgeBundle("e4", "r", "b")])
+
+
+# --- path and reachability checks ----------------------------------------------
+
+
+def reaches(g: Graph, v: str, w: str) -> bool:
+    """BFS on bundle adjacency; reflexive by the trivial path."""
+    g.require_vertex(w)
+    return w in reachable_set(g, v)
+
+
+def validate_path(g: Graph, path: Path) -> None:
+    """Raise GraphBuildError unless ``path`` is the path its edge ids (or
+    its source, when trivial) spell in ``g``."""
+    rebuilt = (Path.trivial(g, path.source) if path.is_trivial
+               else Path.from_edges(g, path.edges))
+    if rebuilt != path:
+        raise GraphBuildError(f"path {path} does not live in the graph")
 
 
 # --- exhaustive universes ------------------------------------------------------
@@ -169,7 +192,7 @@ def brute_ladder_length(g: Graph) -> int:
 
 def brute_cofinal(g: Graph) -> bool:
     """Every vertex reaches every vertex that lies on a cycle."""
-    from graphck import reaches, strongly_connected_components
+    from graphck import strongly_connected_components
 
     on_cycle: set[str] = set()
     for comp in strongly_connected_components(g):
@@ -258,6 +281,78 @@ def product_embed_check(rep_small, rep_big) -> tuple[bool, int, list[str]]:
                 if lhs != rhs:
                     failures.append(f"unit ({a.label()}, {b.label()}) at {v}")
     return not failures, checked, failures
+
+
+def product_verify_ck(rep) -> CkReport:
+    """``verify_ck`` by honest matrix arithmetic: every identity as an
+    IntMatrix product, O(V^2 + E^2) of them."""
+    g = rep.graph
+    failures: list[str] = []
+    for v in g.vertices:
+        p = rep.vertex_projections[v]
+        if not (p.transpose() == p and p @ p == p):
+            failures.append(f"vertex projection p_{v} is not diagonal")
+    edges = g.finite_edges()
+    range_proj: dict[str, IntMatrix] = {}
+
+    ck1_ok = True
+    ck2_ok = True
+    for e in edges:
+        s = rep.edge_isometries[e.id]
+        r = s @ s.transpose()
+        range_proj[e.id] = r
+        if s.transpose() @ s != rep.vertex_projections[e.dst]:
+            ck1_ok = False
+            failures.append(f"ck1 fails at edge {e.id}")
+        if r @ rep.vertex_projections[e.src] != r:
+            ck2_ok = False
+            failures.append(f"ck2 fails at edge {e.id}")
+
+    mutual = True
+    verts = list(g.vertices)
+    for i, v in enumerate(verts):
+        pv = rep.vertex_projections[v]
+        for w in verts[i + 1:]:
+            if not (pv @ rep.vertex_projections[w]).is_zero():
+                mutual = False
+                failures.append(f"vertex projections {v}, {w} not orthogonal")
+    ids = [e.id for e in edges]
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if not (range_proj[a] @ range_proj[b]).is_zero():
+                mutual = False
+                failures.append(f"edge ranges {a}, {b} not orthogonal")
+
+    ck3: dict[str, bool] = {}
+    for v in regular_vertices(g):
+        total = IntMatrix.zero(rep.dim)
+        for e in edges:
+            if e.src == v:
+                total = total + range_proj[e.id]
+        held = total == rep.vertex_projections[v]
+        ck3[v] = held
+        if held != (v in rep.spec.imposed):
+            failures.append(
+                f"ck3 at {v}: held={held}, imposed={v in rep.spec.imposed}")
+    return CkReport(ck1_ok, ck2_ok, ck3, mutual, failures)
+
+
+def product_gap_projections(rep) -> dict[str, GapEntry]:
+    """``gap_projections`` by IntMatrix differences of products."""
+    g = rep.graph
+    out: dict[str, GapEntry] = {}
+    for v in regular_vertices(g):
+        if v in rep.spec.imposed:
+            continue
+        q = rep.vertex_projections[v]
+        for e in g.finite_edges():
+            if e.src == v:
+                s = rep.edge_isometries[e.id]
+                q = q - (s @ s.transpose())
+        if q @ q != q:
+            raise RelativeSpecError(f"gap at {v} is not a projection")
+        out[v] = GapEntry(q, not q.is_zero())
+    return out
 
 
 def rank_dimension(rep, source: str | None) -> int:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphck import (
     ALEPH0,
@@ -40,14 +41,18 @@ from graphck import (
 from graphck import cli_io
 from graphck.ck_matrix import MatrixRep, PathMaps
 
+import helpers
 from helpers import (
     diamond,
     fraction_rank,
     g1,
+    graph_of,
     graphs,
     line,
+    product_gap_projections,
     product_path_matrix,
     product_unit_vectors,
+    product_verify_ck,
     rank_dimension,
     single_loop,
     two_sinks,
@@ -168,6 +173,23 @@ def test_verify_ck_detects_sabotage():
     assert any("ck1" in f for f in report.failures)
 
 
+def test_vertex_projection_that_is_not_diagonal_fails():
+    # two isolated vertices, p_a sending a's index to b's: a partial
+    # permutation orthogonal to p_b, and every other relation holds
+    g = Graph(["a", "b"], [])
+    rep = build_ck_family(g, RelativeSpec.toeplitz())
+    i_a, i_b = (rep.index_of(Path.trivial(g, v)) for v in ("a", "b"))
+    rep.vertex_projections["a"] = IntMatrix.from_partial_perm({i_a: i_b},
+                                                              rep.dim)
+    message = "vertex projection p_a is not diagonal"
+    report = verify_ck(rep)
+    assert report.failures == [message]
+    assert report == product_verify_ck(rep)
+    with pytest.raises(InternalCheckError) as ei:
+        algebra_dimension(rep)
+    assert str(ei.value) == message
+
+
 # --- dimensions and blocks -------------------------------------------------------------
 
 
@@ -276,7 +298,7 @@ def test_random_acyclic_models_verify(g):
     assert report.all_imposed_hold
     assert report.ck3_exactly_at(spec.imposed)
     gaps = gap_projections(rep)
-    assert all(e.matrix.is_idempotent() for e in gaps.values())
+    assert all(e.matrix @ e.matrix == e.matrix for e in gaps.values())
     assert all(e.nonzero for e in gaps.values())
 
 
@@ -333,6 +355,77 @@ def test_generator_that_is_not_a_partial_permutation_is_refused():
     rep.edge_isometries["e1"].entries[pos] = 2
     with pytest.raises(InternalCheckError, match="s_e1"):
         algebra_dimension(rep)
+
+
+# --- relations in map form against the product route -------------------------------
+
+
+def _gaps_or_error(route, rep):
+    try:
+        return route(rep)
+    except RelativeSpecError as exc:
+        return str(exc)
+
+
+def _assert_routes_agree(rep):
+    report = verify_ck(rep)
+    assert report == product_verify_ck(rep)
+    assert _gaps_or_error(gap_projections, rep) == \
+        _gaps_or_error(product_gap_projections, rep)
+    return report
+
+
+def test_relations_match_product_route_on_universe_slice():
+    # every spec of one graph in 50 of acceptance criterion 4's universe
+    for n, arcs in helpers.acyclic_universe(5, 6)[::50]:
+        g = graph_of(n, arcs)
+        for spec in all_specs(g):
+            report = _assert_routes_agree(build_ck_family(g, spec))
+            assert not report.failures
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(acyclic=True, max_vertices=5, max_bundles=7), st.data())
+def test_relations_match_product_route_on_multigraphs(g, data):
+    regs = regular_vertices(g)
+    imposed = data.draw(st.sets(st.sampled_from(regs))) if regs else set()
+    report = _assert_routes_agree(build_ck_family(g, RelativeSpec.of(imposed)))
+    assert not report.failures
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(acyclic=True, max_vertices=4, max_bundles=5), st.data())
+def test_relations_match_product_route_on_tampered_models(g, data):
+    regs = regular_vertices(g)
+    imposed = data.draw(st.sets(st.sampled_from(regs))) if regs else set()
+    rep = build_ck_family(g, RelativeSpec.of(imposed))
+    generators = ([(rep.vertex_projections, v) for v in rep.vertex_projections]
+                  + [(rep.edge_isometries, e) for e in rep.edge_isometries])
+    family, name = data.draw(st.sampled_from(generators))
+    cols = sorted(data.draw(st.sets(st.integers(0, rep.dim - 1))))
+    rows = data.draw(st.permutations(range(rep.dim)))
+    family[name] = IntMatrix.from_partial_perm(dict(zip(cols, rows)), rep.dim)
+    report = _assert_routes_agree(rep)
+    if report.failures:
+        with pytest.raises(InternalCheckError) as ei:
+            algebra_dimension(rep)
+        assert str(ei.value) == report.failures[0]
+
+
+def test_runtime_does_no_intmatrix_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("IntMatrix algebra at runtime")
+
+    for op in ("__matmul__", "__add__", "__sub__", "transpose"):
+        monkeypatch.setattr(IntMatrix, op, refuse)
+    stage = ["--family", "ladder2", "--depth", "8"]
+    for argv in (["ck", *stage, "--relative", "all"],
+                 ["ck", *stage, "--relative", "none"],
+                 ["ck", *stage, "--relative", "w_1,w_3,w_5"],
+                 ["corner", *stage, "--vertex", "w_1"],
+                 ["bratteli", *stage, "--verify-embedding"]):
+        code, text = run_command(argv)
+        assert code == 0, (argv, text)
 
 
 # --- the rank certificate against the elimination route ---------------------------
@@ -402,10 +495,10 @@ def _lower_a_row(rep):
 
 
 _TAMPERED = [
-    (g1, "all", _drop_edge_entry,
-     "edge e: domain differs from the support of p_w"),
-    (_parallel_pair, "all", _overlap_ranges, "edges out of v overlap in range"),
-    (_parallel_pair, "all", _miss_part_of_pv, "edges out of v do not cover p_v"),
+    (g1, "all", _drop_edge_entry, "ck1 fails at edge e"),
+    (_parallel_pair, "all", _overlap_ranges,
+     "edge ranges e#0, e#1 not orthogonal"),
+    (_parallel_pair, "all", _miss_part_of_pv, "ck2 fails at edge e#1"),
     (_parallel_pair, "all", _twist_projection,
      "vertex projection p_v is not diagonal"),
     (lambda: line(3), "none", _swap_isometry_rows,
@@ -415,15 +508,29 @@ _TAMPERED = [
 ]
 
 
-@pytest.mark.parametrize("make, relative, tamper, message", _TAMPERED,
-                         ids=["domain", "overlap", "cover", "diagonal", "lead",
-                              "least_row"])
-def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
-                                              tmp_path, monkeypatch):
+_TAMPERED_IDS = ["domain", "overlap", "cover", "diagonal", "lead", "least_row"]
+
+
+def _tampered(make, relative, tamper):
     g = make()
     spec = RelativeSpec.full(g) if relative == "all" else RelativeSpec.toeplitz()
     rep = build_ck_family(g, spec)
     tamper(rep)
+    return g, rep
+
+
+@pytest.mark.parametrize("make, relative, tamper, message", _TAMPERED,
+                         ids=_TAMPERED_IDS)
+def test_tampered_model_fails_the_same_relations_on_both_routes(
+        make, relative, tamper, message):
+    _assert_routes_agree(_tampered(make, relative, tamper)[1])
+
+
+@pytest.mark.parametrize("make, relative, tamper, message", _TAMPERED,
+                         ids=_TAMPERED_IDS)
+def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
+                                              tmp_path, monkeypatch):
+    g, rep = _tampered(make, relative, tamper)
     assert all(m.is_partial_permutation()
                for m in rep.edge_isometries.values())
     with pytest.raises(InternalCheckError) as ei:
@@ -447,8 +554,9 @@ def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
 
 
 def test_basis_missing_a_path_fails_its_certificate():
-    # g1's Toeplitz model without the basis path e: every map check
-    # passes, but the units of (w, e), (e, w) and (e, e) would be missed
+    # g1's Toeplitz model without the basis path e: the units of (w, e),
+    # (e, w) and (e, e) would be missed; s_e then fills p_v, so the
+    # summation identity holds where it is not imposed
     g = g1()
     v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
     rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w),
@@ -456,7 +564,7 @@ def test_basis_missing_a_path_fails_its_certificate():
                      "w": IntMatrix.from_diag([1], 2)},
                     {"e": IntMatrix.from_partial_perm({1: 0}, 2)})
     with pytest.raises(InternalCheckError,
-                       match="basis holds 1 of the 2 paths into w"):
+                       match=re.escape("ck3 at v: held=True, imposed=False")):
         algebra_dimension(rep)
 
 

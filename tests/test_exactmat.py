@@ -55,10 +55,10 @@ def test_add_sub_cancellation_drops_zeros():
 
 def test_identity_and_diag():
     i = IntMatrix.identity(3)
-    assert i.is_idempotent()
+    assert i @ i == i
     assert i.entries == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
     d = IntMatrix.from_diag([0, 2], 3)
-    assert d.is_idempotent()
+    assert d @ d == d
     assert d.entries == {(0, 0): 1, (2, 2): 1}
     assert (i @ d) == d
 

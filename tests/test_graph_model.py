@@ -28,7 +28,6 @@ from graphck import (
     has_cycle,
     ladder_family,
     reachable_set,
-    reaches,
     representative_edge_id,
     sinks,
     singular_vertices,
@@ -47,9 +46,11 @@ from helpers import (
     graph_of,
     graphs,
     line,
+    reaches,
     rose,
     single_loop,
     two_sinks,
+    validate_path,
 )
 
 
@@ -234,10 +235,10 @@ def test_from_edges_composition():
 def test_path_validate_catches_forged_paths():
     g = line(3)
     good = Path.from_edges(g, ["e0"])
-    good.validate(g)
+    validate_path(g, good)
     forged = Path("v0", "v2", ("e0",), ("v0", "v2"))
     with pytest.raises(GraphBuildError):
-        forged.validate(g)
+        validate_path(g, forged)
 
 
 def test_lasso_validation():
@@ -292,7 +293,7 @@ def test_enumerate_paths_vertex_trails():
                   (multi, enumerate_paths(multi)),
                   (rose(2), enumerate_paths(rose(2), max_len=3))):
         for p in ps:
-            p.validate(g)
+            validate_path(g, p)
 
 
 def test_count_paths_matches_enumeration():
@@ -349,6 +350,18 @@ def test_has_cycle():
     assert has_cycle(graph_of(2, [("v0", "v1"), ("v1", "v0")]))
 
 
+@settings(max_examples=150)
+@given(graphs(max_vertices=5, max_bundles=8, infinite_ok=True))
+def test_has_cycle_matches_topological_order(g):
+    # self-loops, parallel bundles and infinite bundles included
+    try:
+        topological_order(g)
+    except CyclicGraphError:
+        assert has_cycle(g)
+    else:
+        assert not has_cycle(g)
+
+
 def test_sccs():
     assert sorted(map(sorted, strongly_connected_components(line(3)))) == \
         [["v0"], ["v1"], ["v2"]]
@@ -375,7 +388,7 @@ def test_cycle_report_exitless_loop():
     assert rep.has_cycle and not rep.condition_l
     assert rep.witness is not None
     assert rep.witness.edges == ("l",)
-    rep.witness.validate(single_loop())
+    validate_path(single_loop(), rep.witness)
 
 
 def test_cycle_report_two_cycle_without_exit():
