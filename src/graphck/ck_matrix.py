@@ -157,14 +157,9 @@ def build_ck_family(g: Graph, spec: RelativeSpec,
 
 # --- generator maps ---------------------------------------------------------
 
-_ONE = frozenset({1})
-
-
 def _generator_map(name: str, m: IntMatrix) -> dict[int, int]:
-    """The col -> row map; ``m.is_partial_permutation()``, in one pass."""
-    cols = {c: r for r, c in m.entries}
-    if not (len(cols) == len(m.entries) == len(set(cols.values()))
-            and _ONE.issuperset(m.entries.values())):
+    cols = m.partial_permutation_map()
+    if cols is None:
         raise InternalCheckError(f"generator {name} is not a partial permutation")
     return cols
 
@@ -250,17 +245,12 @@ def _meeting_pairs(names: list[str], domains: list, ranges: list
     """Pairs (a, b) of ``names``, a listed before b, where a's domain meets
     b's range: exactly the pairs whose product a @ b is nonzero.  One owner
     table over basis positions names the domains holding each position."""
-    owner: dict[int, tuple[int, ...]] = {}
+    owner: dict[int, list[int]] = {}
     for i, dom in enumerate(domains):
-        owner.update(dict.fromkeys(dom, (i,)))
-    if len(owner) < sum(map(len, domains)):  # shared positions: every owner
-        owner = {}
-        for i, dom in enumerate(domains):
-            for pos in dom:
-                owner[pos] = owner.get(pos, ()) + (i,)
+        for pos in dom:
+            owner.setdefault(pos, []).append(i)
     pairs = {(i, j) for j, rng in enumerate(ranges)
-             for own in set(map(owner.get, rng)) if own
-             for i in own if i < j}
+             for pos in rng for i in owner.get(pos, ()) if i < j}
     return [(names[i], names[j]) for i, j in sorted(pairs)]
 
 

@@ -96,15 +96,17 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
 
+    def partial_permutation_map(self) -> dict[int, int] | None:
+        """The col -> row map if every entry is 1 and no two entries share
+        a row or a column; None otherwise."""
+        cols = {c: r for r, c in self.entries}
+        if (len(cols) == len(self.entries) == len(set(cols.values()))
+                and set(self.entries.values()) <= {1}):
+            return cols
+        return None
+
     def is_partial_permutation(self) -> bool:
-        rows_seen: set[int] = set()
-        cols_seen: set[int] = set()
-        for (r, c), v in self.entries.items():
-            if v != 1 or r in rows_seen or c in cols_seen:
-                return False
-            rows_seen.add(r)
-            cols_seen.add(c)
-        return True
+        return self.partial_permutation_map() is not None
 
     def to_triples(self) -> list[list[int]]:
         return [[r, c, v] for (r, c), v in sorted(self.entries.items())]

@@ -508,37 +508,41 @@ def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     for root in g.vertices:
         if root in index:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(g._out[root]))]
+        work: list[tuple[str, int]] = [(root, 0)]
         while work:
-            v, succs = work[-1]
-            for b in succs:
-                w = b.dst
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            advanced = False
+            succs = g._out[v]
+            while pi < len(succs):
+                w = succs[pi].dst
+                pi += 1
+                work[-1] = (v, pi)
                 if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g._out[w])))
+                    work.append((w, 0))
+                    advanced = True
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            else:  # every successor done: v is finished
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(tuple(comp))
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(tuple(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
     g._components = tuple(components)
     return g._components
 

@@ -568,6 +568,25 @@ def test_basis_missing_a_path_fails_its_certificate():
         algebra_dimension(rep)
 
 
+def test_corner_basis_missing_a_path_fails_its_certificate():
+    # g1's Toeplitz model with basis path e recorded as a path from w: every
+    # relation holds and the whole basis passes its least-row check, so the
+    # algebra's dimension is still right, but the corner at v reads the
+    # sources and finds no basis path from v into w
+    g = g1()
+    v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
+    stray = Path("w", "w", ("e",), ("w", "w"))
+    rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w, stray),
+                    {"v": IntMatrix.from_diag([0, 2], 3),
+                     "w": IntMatrix.from_diag([1], 3)},
+                    {"e": IntMatrix.from_partial_perm({1: 2}, 3)})
+    assert verify_ck(rep).failures == []
+    assert algebra_dimension(rep) == 5
+    with pytest.raises(InternalCheckError,
+                       match=re.escape("basis holds 0 of the 1 paths into w")):
+        corner(rep, "v")
+
+
 # --- deep models -------------------------------------------------------------------
 
 

@@ -64,11 +64,15 @@ def test_identity_and_diag():
 
 
 def test_partial_permutation_predicate():
-    assert IntMatrix.from_partial_perm({0: 1, 2: 0}, 3).is_partial_permutation()
+    m = IntMatrix.from_partial_perm({0: 1, 2: 0}, 3)
+    assert m.is_partial_permutation()
+    assert m.partial_permutation_map() == {0: 1, 2: 0}
     assert not IntMatrix(2, {(0, 0): 2}).is_partial_permutation()
     # two columns hitting the same row is not injective
     assert not IntMatrix(2, {(0, 0): 1, (0, 1): 1}).is_partial_permutation()
-    assert IntMatrix.zero(4).is_partial_permutation()
+    # one column hitting two rows is not a map
+    assert IntMatrix(2, {(0, 0): 1, (1, 0): 1}).partial_permutation_map() is None
+    assert IntMatrix.zero(4).partial_permutation_map() == {}
 
 
 def test_from_partial_perm_entries():
