@@ -2,9 +2,10 @@
 """Walk the doubled-ladder chain a stage at a time and watch the numbers.
 
 For each depth up to --max-depth this prints the block sizes, the inclusion
-multiplicities, the named limit, and (with --verify) the exact matrix-unit
-embedding check between the last two stages.  Everything is integer
-arithmetic; a failure here is a real bug, not noise.
+multiplicities, the named limit, and (with --verify) the exact embedding
+certificate between the last two stages, read off the bigger stage's
+Cuntz-Krieger relations.  Everything is integer arithmetic; a failure here
+is a real bug, not noise.
 
 Usage:
     python3 scripts/run_ladder_chain.py

@@ -1,5 +1,6 @@
 """Bratteli chains of single full matrix blocks read off a staged family,
-their direct limits, and an exact check of the stage-to-stage embedding.
+their direct limits, and an exact certificate of the stage-to-stage
+embedding, read off the bigger model's Cuntz-Krieger relations.
 
 Two chain shapes are supported:
 
@@ -29,7 +30,7 @@ from .graph_model import (
     count_paths_from,
     sinks,
 )
-from .ck_matrix import MatrixRep, PathMaps, matrix_unit
+from .ck_matrix import MatrixRep, PathMaps, _checked_relations
 
 CORNER = "corner"
 TAIL = "tail"
@@ -231,7 +232,7 @@ def direct_limit_summary(chain: BratteliChain) -> LimitSummary:
                         "two consecutive steps")
 
 
-# --- exact embedding check -------------------------------------------------------
+# --- exact embedding certificate ----------------------------------------------
 
 
 @dataclass
@@ -242,47 +243,42 @@ class EmbedReport:
 
 
 def embed_check(rep_small: MatrixRep, rep_big: MatrixRep) -> EmbedReport:
-    """Check the chain's inclusion law exactly, inside the bigger model.
+    """Certify the chain's inclusion law exactly, from the bigger model's
+    relations.
 
-    For every pair of small-stage basis paths with a common range v, the
-    matrix unit they span must satisfy, in the big model,
+    The law: for every pair of small-stage basis paths a, b with a common
+    range v, the bigger model satisfies
 
         S_a S_b* == sum over edges e out of v of S_ae S_be*
 
-    whenever v became regular, and survive unchanged whenever v stayed a
-    sink.  Path operators are composed partial permutations of the big
-    model (``PathMaps``), so a matrix unit S_a S_b* is a set of positions
-    (``matrix_unit``); the right-hand side counts each position over the
-    out-edges, and both sides are compared exactly.
+    whenever v became regular, and keeps the unit unchanged whenever v
+    stayed a sink.  ``pairs_checked`` counts the n_v**2 pairs at each v.
+
+    Certificate: the relation pass (``verify_ck``'s) must find no failure
+    in the bigger model.  Then p_v is diagonal, the domain of each s_e is
+    the support of p_r(e) (ck1), and its range lies in the support of
+    p_s(e) (ck2).  So every path a into v has domain supp p_v, and S_a is
+    injective there: S_a S_b* = {(S_a c, S_b c) : c in supp p_v}.  The
+    right-hand side is the same set taken over c in the out-edges' ranges,
+    each position counted once per range holding c.  The two are equal
+    exactly when those ranges cover supp p_v disjointly, which is the
+    summation identity at v (``ck3_at``) and does not depend on (a, b):
+    at v every pair holds, or every pair fails.  No path map is composed
+    and no unit is formed; the cost is one relation pass.
     """
     small, big = rep_small.graph, rep_big.graph
     if not small.is_subgraph_of(big):
         raise StageError("embedding check needs the smaller model's graph "
                          "to be a subgraph of the bigger one")
+    ck3_at = _checked_relations(rep_big, PathMaps(rep_big)).ck3_at
     by_target: dict[str, list[Path]] = {}
     for p in rep_small.basis:
         by_target.setdefault(p.target, []).append(p)
-    maps, dim = PathMaps(rep_big), rep_big.dim
-
-    def extended(p: Path, e) -> Path:
-        return Path(p.source, e.dst, p.edges + (e.id,), p.vertex_seq + (e.dst,))
-
     checked = 0
     failures: list[str] = []
     for v, paths in sorted(by_target.items()):
-        if big.is_sink(v):
-            checked += len(paths) ** 2  # every unit persists verbatim
-            continue
-        outs = [e for e in big.finite_edges() if e.src == v]
-        ops = {p: maps(p) for p in paths}
-        ext = {p: [maps(extended(p, e)) for e in outs] for p in paths}
-        for a in paths:
-            for b in paths:
-                rhs: dict[int, int] = {}
-                for ae, be in zip(ext[a], ext[b]):
-                    for pos in matrix_unit(ae, be, dim):
-                        rhs[pos] = rhs.get(pos, 0) + 1
-                checked += 1
-                if rhs != matrix_unit(ops[a], ops[b], dim):
-                    failures.append(f"unit ({a.label()}, {b.label()}) at {v}")
+        checked += len(paths) ** 2
+        if not (big.is_sink(v) or ck3_at[v]):
+            failures += [f"unit ({a.label()}, {b.label()}) at {v}"
+                         for a in paths for b in paths]
     return EmbedReport(not failures, checked, failures)

@@ -13,14 +13,14 @@ algebra whenever every cycle has an exit (vacuous here: no cycles at all).
 All arithmetic is integer-exact; no float ever decides a dimension, and
 no matrix is ever multiplied: every generator is a partial permutation,
 stored as an ``IntMatrix`` and read as its col -> row map (``PathMaps``).
-A path operator composes its edges' maps, and the matrix unit S_a S_b*
-of two paths has a one at (S_a c, S_b c) for every basis vector c in both
-maps' domains.  The relations are checked once, on the maps, in time
-linear in their size; ``verify_ck`` reports them and the dimension
-certificate (``_certified_rank``) requires them.  The certified rank is
-the sum over terminal vertices of the squared number of basis paths into
-each.  Elimination over every path-pair unit, and the relations as
-``IntMatrix`` products, are the test suite's oracles.
+A path operator composes its edges' maps.  The relations are checked
+once, on the maps, in time linear in their size; ``verify_ck`` reports
+them, and the dimension certificate (``_certified_rank``) and the stage
+embedding certificate (``bratteli.embed_check``) require them.  The
+certified rank is the sum over terminal vertices of the squared number of
+basis paths into each; no matrix unit S_a S_b* is formed at runtime.
+Elimination over every path-pair unit, and the relations as ``IntMatrix``
+products, are the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -197,12 +197,6 @@ class PathMaps:
         return m
 
 
-def matrix_unit(ma: dict[int, int], mb: dict[int, int],
-                dim: int) -> dict[int, int]:
-    """``(S_a S_b*).vectorize()`` from the col -> row maps of two paths."""
-    return {r * dim + mb[c]: 1 for c, r in ma.items() if c in mb}
-
-
 # --- verification ---------------------------------------------------------
 
 
@@ -303,6 +297,15 @@ def verify_ck(rep: MatrixRep) -> CkReport:
     return _relations(rep, PathMaps(rep))
 
 
+def _checked_relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
+    """The relation pass, for a certificate that needs every relation:
+    its first failure, if any, is raised as ``InternalCheckError``."""
+    report = _relations(rep, maps)
+    if report.failures:
+        raise InternalCheckError(report.failures[0])
+    return report
+
+
 @dataclass(frozen=True)
 class GapEntry:
     matrix: IntMatrix
@@ -356,11 +359,14 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     """
     g = rep.graph
     maps = PathMaps(rep)
-    failures = _relations(rep, maps).failures
-    if failures:
-        raise InternalCheckError(failures[0])
-    trivial = {t: rep.index_of(Path(t, t, (), (t,)))
-               for t in terminal_vertices(g, rep.spec)}
+    _checked_relations(rep, maps)
+    trivial: dict[str, int] = {}
+    for t in terminal_vertices(g, rep.spec):
+        try:
+            trivial[t] = rep.index_of(Path(t, t, (), (t,)))
+        except KeyError:
+            raise InternalCheckError(
+                f"basis has no trivial path at terminal {t}") from None
     counts = dict.fromkeys(trivial, 0)
     for i, a in enumerate(rep.basis):
         if source is not None and a.source != source:

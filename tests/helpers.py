@@ -26,7 +26,7 @@ from graphck import (
     reachable_set,
     regular_vertices,
 )
-from graphck.ck_matrix import GapEntry, PathMaps, matrix_unit
+from graphck.ck_matrix import GapEntry, PathMaps
 
 # --- fixed examples -----------------------------------------------------------
 
@@ -353,6 +353,12 @@ def product_gap_projections(rep) -> dict[str, GapEntry]:
             raise RelativeSpecError(f"gap at {v} is not a projection")
         out[v] = GapEntry(q, not q.is_zero())
     return out
+
+
+def matrix_unit(ma: dict[int, int], mb: dict[int, int],
+                dim: int) -> dict[int, int]:
+    """``(S_a S_b*).vectorize()`` from the col -> row maps of two paths."""
+    return {r * dim + mb[c]: 1 for c, r in ma.items() if c in mb}
 
 
 def rank_dimension(rep, source: str | None) -> int:

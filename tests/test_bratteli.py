@@ -8,6 +8,8 @@ from graphck import (
     BratteliChain,
     ChainError,
     EdgeBundle,
+    InternalCheckError,
+    IntMatrix,
     RelativeSpec,
     SpineError,
     StageError,
@@ -21,10 +23,14 @@ from graphck import (
     ladder_family,
     ray_family,
     rose_family,
+    run_command,
     tail_chain,
+    verify_ck,
 )
 from graphck.bratteli import CORNER, TAIL
+from graphck.ck_matrix import PathMaps
 
+import helpers
 from helpers import graphs, product_embed_check, two_sinks
 
 
@@ -280,3 +286,73 @@ def test_embed_check_matches_product_route(pair):
             report = embed_check(small, big)
             assert (report.ok, report.pairs_checked, report.failures) == \
                 product_embed_check(small, big)
+
+
+# (family, deepest stage): every consecutive pair of full-spec stages up to
+# the deepest; the product route takes seconds for ladder2's 7 -> 8
+_EMBED_ORACLE_STAGES = (
+    (ladder_family(2), 7),
+    (ladder_family(3), 5),
+    (forbidden_ladder_family(), 7),
+    (ray_family(), 12),
+)
+
+
+@pytest.mark.parametrize("sg, depth", _EMBED_ORACLE_STAGES,
+                         ids=["ladder2", "ladder3", "forbidden_ladder", "ray"])
+def test_embed_check_matches_product_route_on_family_stages(sg, depth):
+    for n in range(1, depth):
+        small, big = rep_of(sg.stage(n)), rep_of(sg.stage(n + 1))
+        report = embed_check(small, big)
+        assert (report.ok, report.pairs_checked, report.failures) == \
+            product_embed_check(small, big), n
+
+
+# each tamper keeps every generator of ladder2's stage-4 model a partial
+# permutation but breaks one relation the certificate rests on
+
+
+def _empty_edge_domain(rep):
+    rep.edge_isometries["e_2"] = IntMatrix.zero(rep.dim)
+
+
+def _overlap_out_ranges(rep):
+    rep.edge_isometries["f_2"] = IntMatrix.from_partial_perm(
+        PathMaps(rep).edge("e_2"), rep.dim)
+
+
+def _twist_vertex_projection(rep):
+    i, j, *_ = PathMaps(rep).vertex["w_3"]
+    rep.vertex_projections["w_3"] = IntMatrix.from_partial_perm(
+        {i: j, j: i}, rep.dim)
+
+
+@pytest.mark.parametrize("tamper, expected", [
+    (_empty_edge_domain, "ck1 fails at edge e_2"),
+    (_overlap_out_ranges, "edge ranges e_2, f_2 not orthogonal"),
+    (_twist_vertex_projection, "vertex projection p_w_3 is not diagonal"),
+], ids=["domain", "overlap", "diagonal"])
+def test_embed_check_refuses_a_tampered_bigger_model(tamper, expected):
+    sg = ladder_family(2)
+    small, big = rep_of(sg.stage(3)), rep_of(sg.stage(4))
+    tamper(big)
+    assert all(m.is_partial_permutation()
+               for m in [*big.vertex_projections.values(),
+                         *big.edge_isometries.values()])
+    assert verify_ck(big).failures[0] == expected
+    with pytest.raises(InternalCheckError) as ei:
+        embed_check(small, big)
+    assert str(ei.value) == expected
+
+
+def test_deep_embedding_composes_no_path_and_forms_no_unit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the embedding certificate composed a path "
+                             "or formed a unit")
+
+    monkeypatch.setattr(PathMaps, "__call__", refuse)
+    monkeypatch.setattr(helpers, "matrix_unit", refuse)
+    code, text = run_command(["bratteli", "--family", "ladder2", "--depth",
+                              "12", "--verify-embedding"])
+    assert code == 0, text
+    assert "pass (4190209 matrix units, exact)" in text

@@ -587,6 +587,29 @@ def test_corner_basis_missing_a_path_fails_its_certificate():
         corner(rep, "v")
 
 
+def test_basis_without_a_terminal_trivial_path_fails_its_certificate(
+        tmp_path, monkeypatch):
+    # g1's full model with its basis path w relabelled as the non-path
+    # e.e from v: the generators are untouched, so every relation holds,
+    # but the certificate finds no trivial path at the terminal w
+    g = g1()
+    rep = build_ck_family(g, RelativeSpec.full(g))
+    stray = Path("v", "w", ("e", "e"), ("v", "w", "w"))
+    tampered = MatrixRep(g, rep.spec, (stray, rep.basis[1]),
+                         rep.vertex_projections, rep.edge_isometries)
+    assert verify_ck(tampered).failures == []
+    message = "basis has no trivial path at terminal w"
+    with pytest.raises(InternalCheckError) as ei:
+        algebra_dimension(tampered)
+    assert str(ei.value) == message
+
+    monkeypatch.setattr(cli_io, "build_ck_family", lambda *args: tampered)
+    doc = tmp_path / "g1.json"
+    doc.write_text(json.dumps(emit_graph_document(g)))
+    code, text = run_command(["ck", "--graph", str(doc), "--relative", "all"])
+    assert (code, text) == (4, f"error: internal check failed: {message}")
+
+
 # --- deep models -------------------------------------------------------------------
 
 

@@ -22,3 +22,12 @@ def test_scripts_run_end_to_end():
                          "--arcs", "3")
     assert survey.returncode == 0, survey.stderr
     assert "dimension distribution" in survey.stdout
+
+
+def test_ladder_chain_script_at_its_documented_size():
+    # the docstring's usage line: 96,845,281 units certified at depth 10
+    ladder = _run_script("run_ladder_chain.py", "--parallel", "3",
+                         "--max-depth", "10", "--verify")
+    assert ladder.returncode == 0, ladder.stderr
+    assert "embedding: ok" in ladder.stdout
+    assert "dimension 387420489" in ladder.stdout
