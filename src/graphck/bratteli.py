@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .errors import ChainError, SpineError, StageError
 from .graph_model import (
-    Graph,
     Path,
     StagedGraph,
     count_paths_ending,

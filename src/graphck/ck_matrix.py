@@ -1,14 +1,17 @@
 """Exact finite-dimensional Cuntz-Krieger matrix models on path bases.
 
 For a finite acyclic graph and a chosen set S of regular vertices, the
-model acts on the free basis of all paths whose range is a sink or a
-regular vertex outside S.  Vertex projections are diagonal idempotents
-(paths starting at the vertex); each edge acts as the partial permutation
-prepending itself to a basis path.  With this basis rule the three
-Cuntz-Krieger identities hold exactly, the summation identity holds at
-precisely the vertices of S, and every vertex projection and every gap
-projection is nonzero — so the model is a faithful copy of the relative
-algebra whenever every cycle has an exit (vacuous here: no cycles at all).
+model acts on the free basis of all paths into a terminal vertex (a sink
+or a regular vertex outside S), grown backwards from the terminals: each
+path a yields e.a for every edge e into its source, and s_e sends a to
+e.a.  No other path is made, and a basis of more than ``BASIS_SIZE_BOUND``
+paths (counted by the path-count DP) is refused before it is grown.
+Vertex projections are diagonal idempotents (paths starting at the
+vertex).  With this basis rule the three Cuntz-Krieger identities hold
+exactly, the summation identity holds at precisely the vertices of S,
+and every vertex projection and every gap projection is nonzero — so the
+model is a faithful copy of the relative algebra whenever every cycle
+has an exit (vacuous here: no cycles at all).
 
 All arithmetic is integer-exact; no float ever decides a dimension, and
 no matrix is ever multiplied: every generator is a partial permutation,
@@ -28,23 +31,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BoundExceededError,
     CyclicGraphError,
     InfiniteBundleError,
     InternalCheckError,
     RelativeSpecError,
-    UnknownVertexError,
 )
 from .exactmat import IntMatrix
 from .graph_model import (
+    Edge,
     Graph,
     Path,
     count_paths_ending,
     count_paths_from,
-    enumerate_paths,
     has_cycle,
     regular_vertices,
     sinks,
 )
+from .ideal_lattice import BASIS_SIZE_BOUND
 
 
 @dataclass(frozen=True)
@@ -93,21 +97,6 @@ def terminal_vertices(g: Graph, spec: RelativeSpec) -> list[str]:
     return sorted(terms)
 
 
-def path_basis(g: Graph, spec: RelativeSpec,
-               all_paths: list[Path] | None = None) -> list[Path]:
-    """Basis paths: every path whose range is a terminal vertex, in the
-    deterministic (length, edge ids, source) order.
-
-    ``all_paths`` may carry a precomputed ``enumerate_paths(g)`` result to
-    share enumeration across several specs on the same graph.
-    """
-    _check_model_graph(g)
-    terms = set(terminal_vertices(g, spec))
-    if all_paths is None:
-        all_paths = enumerate_paths(g)
-    return [p for p in all_paths if p.target in terms]
-
-
 @dataclass
 class MatrixRep:
     """The assembled model: basis paths, one diagonal idempotent per vertex,
@@ -130,29 +119,37 @@ class MatrixRep:
         self._index = {p: i for i, p in enumerate(self.basis)}
 
 
-def build_ck_family(g: Graph, spec: RelativeSpec,
-                    all_paths: list[Path] | None = None) -> MatrixRep:
-    """Assemble the model for a finite acyclic graph with finite bundles."""
-    basis = path_basis(g, spec, all_paths)
-    index: dict[Path, int] = {p: i for i, p in enumerate(basis)}
-    dim = len(basis)
-
-    by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for i, p in enumerate(basis):
-        by_source[p.source].append(i)
-    projections = {v: IntMatrix.from_diag(idxs, dim)
-                   for v, idxs in by_source.items()}
-
-    isometries: dict[str, IntMatrix] = {}
+def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
+    """Assemble the model; the grown basis is sorted once by ``Path.sort_key``."""
+    _check_model_graph(g)
+    terms = terminal_vertices(g, spec)
+    ending = count_paths_ending(g)
+    size = sum(ending[t] for t in terms)
+    if size > BASIS_SIZE_BOUND:
+        raise BoundExceededError(f"model basis would hold {size} paths, "
+                                 f"bound is {BASIS_SIZE_BOUND}")
+    into: dict[str, list[Edge]] = {v: [] for v in g.vertices}
     for e in g.finite_edges():
-        col_to_row: dict[int, int] = {}
-        for i in by_source[e.dst]:
-            tail = basis[i]
-            extended = Path(e.src, tail.target, (e.id,) + tail.edges,
-                            (e.src,) + tail.vertex_seq)
-            col_to_row[i] = index[extended]
-        isometries[e.id] = IntMatrix.from_partial_perm(col_to_row, dim)
-    return MatrixRep(g, spec, tuple(basis), projections, isometries)
+        into[e.dst].append(e)
+    # (path, its first edge, the index of its tail), from the trivial paths
+    grown = [(Path(t, t, (), (t,)), None, None) for t in terms]
+    for i, (a, _, _) in enumerate(grown):  # also visits the paths it appends
+        for e in into[a.source]:
+            grown.append((Path(e.src, a.target, (e.id,) + a.edges,
+                               (e.src,) + a.vertex_seq), e.id, i))
+    order = sorted(range(size), key=lambda i: grown[i][0].sort_key())
+    position = {i: j for j, i in enumerate(order)}
+    by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
+    col_to_row: dict[str, dict[int, int]] = {e.id: {} for e in g.finite_edges()}
+    for j, i in enumerate(order):
+        a, e, tail = grown[i]
+        by_source[a.source].append(j)
+        if e is not None:
+            col_to_row[e][position[tail]] = j
+    return MatrixRep(
+        g, spec, tuple(grown[i][0] for i in order),
+        {v: IntMatrix.from_diag(idxs, size) for v, idxs in by_source.items()},
+        {e: IntMatrix.from_partial_perm(m, size) for e, m in col_to_row.items()})
 
 
 # --- generator maps ---------------------------------------------------------

@@ -156,6 +156,13 @@ def emit_graph_document(g: Graph, name: str | None = None) -> dict:
     return doc
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None
+
+
 def load_graph_file(path: str) -> Graph:
     try:
         text = pathlib.Path(path).read_text()
@@ -308,7 +315,7 @@ def _cmd_restrict(g: Graph, label: str, vertex: str, out: str | None) -> Report:
     doc = emit_graph_document(sub, name=f"{label} downstream of {vertex}")
     r.data["graph"] = doc
     if out:
-        pathlib.Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+        _write_file(out, json.dumps(doc, indent=2) + "\n")
         r.say(f"wrote {out}")
     else:
         r.trailer = json.dumps(doc, indent=2)
@@ -357,9 +364,8 @@ def _cmd_ck(g: Graph, label: str, relative: str, export_path: str | None) -> Rep
     exact = report.ck3_exactly_at(spec.imposed)
     r.say(f"summation identity holds at {_fmt_set(held)}; "
           f"matches the imposed set: {_yesno(exact)}")
-    if report.failures:
-        for f_ in report.failures:
-            r.say(f"FAILED: {f_}")
+    for f_ in report.failures:
+        r.say(f"FAILED: {f_}")
     gaps = gap_projections(rep)
     nonzero_gaps = sorted(v for v, e in gaps.items() if e.nonzero)
     if gaps:
@@ -385,17 +391,15 @@ def _cmd_ck(g: Graph, label: str, relative: str, export_path: str | None) -> Rep
         if sum(b.size ** 2 for b in blocks) != dim:
             raise InternalCheckError(
                 "block sizes disagree with the exact-rank dimension")
-    ok = (report.ck1 and report.ck2 and report.mutual_orthogonality
-          and exact and not report.failures)
+    ok = report.all_imposed_hold and exact and not report.failures
     r.data.update(basis=rep.dim, dimension=dim, relations_verified=ok,
                   imposed=sorted(spec.imposed),
                   gaps={v: e.nonzero for v, e in sorted(gaps.items())})
     if blocks is not None:
         r.data["blocks"] = {b.terminal: b.size for b in blocks}
     if export_path:
-        payload = export_model(rep)
-        pathlib.Path(export_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_file(export_path, json.dumps(export_model(rep), indent=2,
+                                            sort_keys=True) + "\n")
         r.say(f"wrote model to {export_path}")
     return r
 
@@ -468,7 +472,7 @@ def _cmd_family(name: str | None, list_them: bool, depth: int,
     doc = emit_graph_document(g, name=f"{name} stage {depth}")
     r.data["graph"] = doc
     if out:
-        pathlib.Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+        _write_file(out, json.dumps(doc, indent=2) + "\n")
         r.say(f"wrote {out}")
     else:
         r.trailer = json.dumps(doc, indent=2)

@@ -25,7 +25,6 @@ from .graph_model import (
     StagedGraph,
     UniformProfile,
     build_graph,
-    finite,
 )
 
 # letters used to name parallel rung edges, starting at 'e' as is customary

@@ -17,6 +17,7 @@ from .graph_model import Graph, build_graph, regular_vertices, traverse
 # enumeration guards
 DEFAULT_VERTEX_BOUND = 20
 LATTICE_SIZE_BOUND = 100_000
+BASIS_SIZE_BOUND = 1 << 18  # paths in one matrix model's basis (ck_matrix)
 
 
 def _as_subset(g: Graph, vertices: Iterable[str]) -> frozenset[str]:

@@ -18,6 +18,7 @@ from graphck import (
     GraphBuildError,
     IntMatrix,
     Path,
+    RelativeSpec,
     RelativeSpecError,
     build_graph,
     enumerate_paths,
@@ -26,7 +27,13 @@ from graphck import (
     reachable_set,
     regular_vertices,
 )
-from graphck.ck_matrix import GapEntry, PathMaps
+from graphck.ck_matrix import (
+    GapEntry,
+    MatrixRep,
+    PathMaps,
+    _check_model_graph,
+    terminal_vertices,
+)
 
 # --- fixed examples -----------------------------------------------------------
 
@@ -223,6 +230,53 @@ def brute_reaches_all_singular(g: Graph) -> bool:
         if back != g.vertex_set:
             return False
     return True
+
+
+# --- enumerated model oracle ----------------------------------------------------------
+#
+# A builder independent of the grown basis: enumerate every path, keep those
+# into a terminal vertex, and find where each edge sends each basis path by
+# looking its extension up.
+
+
+def path_basis(g: Graph, spec: RelativeSpec,
+               all_paths: list[Path] | None = None) -> list[Path]:
+    """Basis paths: every path whose range is a terminal vertex, in the
+    deterministic (length, edge ids, source) order.
+
+    ``all_paths`` may carry a precomputed ``enumerate_paths(g)`` result to
+    share enumeration across several specs on the same graph.
+    """
+    _check_model_graph(g)
+    terms = set(terminal_vertices(g, spec))
+    if all_paths is None:
+        all_paths = enumerate_paths(g)
+    return [p for p in all_paths if p.target in terms]
+
+
+def enumerated_ck_family(g: Graph, spec: RelativeSpec,
+                         all_paths: list[Path] | None = None) -> MatrixRep:
+    """Assemble the model for a finite acyclic graph with finite bundles."""
+    basis = path_basis(g, spec, all_paths)
+    index: dict[Path, int] = {p: i for i, p in enumerate(basis)}
+    dim = len(basis)
+
+    by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
+    for i, p in enumerate(basis):
+        by_source[p.source].append(i)
+    projections = {v: IntMatrix.from_diag(idxs, dim)
+                   for v, idxs in by_source.items()}
+
+    isometries: dict[str, IntMatrix] = {}
+    for e in g.finite_edges():
+        col_to_row: dict[int, int] = {}
+        for i in by_source[e.dst]:
+            tail = basis[i]
+            extended = Path(e.src, tail.target, (e.id,) + tail.edges,
+                            (e.src,) + tail.vertex_seq)
+            col_to_row[i] = index[extended]
+        isometries[e.id] = IntMatrix.from_partial_perm(col_to_row, dim)
+    return MatrixRep(g, spec, tuple(basis), projections, isometries)
 
 
 # --- general-product model oracles ---------------------------------------------------

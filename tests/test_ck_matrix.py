@@ -31,7 +31,7 @@ from graphck import (
     forbidden_ladder_family,
     gap_projections,
     ladder_family,
-    path_basis,
+    ray_family,
     regular_vertices,
     run_command,
     terminal_vertices,
@@ -92,10 +92,50 @@ def test_terminal_vertices():
 
 def test_path_basis_order_g1():
     g = g1()
-    toeplitz = path_basis(g, RelativeSpec.toeplitz())
+    toeplitz = build_ck_family(g, RelativeSpec.toeplitz()).basis
     assert [p.label() for p in toeplitz] == ["v", "w", "e"]
-    full = path_basis(g, RelativeSpec.full(g))
+    full = build_ck_family(g, RelativeSpec.full(g)).basis
     assert [p.label() for p in full] == ["w", "e"]
+
+
+# --- the grown basis against the enumerate-then-filter builder ------------------------
+
+
+def _assert_builders_agree(g, spec, paths=None):
+    rep = build_ck_family(g, spec)
+    enumerated = helpers.enumerated_ck_family(g, spec, paths)
+    assert rep.basis == enumerated.basis
+    assert export_model(rep) == export_model(enumerated)
+
+
+def test_grown_model_matches_enumerated_builder_on_universe_slice():
+    # every spec of one graph in 20 of acceptance criterion 4's universe
+    for n, arcs in helpers.acyclic_universe(5, 6)[::20]:
+        g = graph_of(n, arcs)
+        paths = enumerate_paths(g)
+        for spec in all_specs(g):
+            _assert_builders_agree(g, spec, paths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(acyclic=True, max_vertices=6, max_bundles=8), st.data())
+def test_grown_model_matches_enumerated_builder_on_multigraphs(g, data):
+    regs = regular_vertices(g)
+    imposed = data.draw(st.sets(st.sampled_from(regs))) if regs else set()
+    _assert_builders_agree(g, RelativeSpec.of(imposed))
+
+
+@pytest.mark.parametrize("sg, depth", [
+    (ladder_family(2), 10),
+    (ladder_family(3), 5),
+    (forbidden_ladder_family(), 6),
+    (ray_family(), 40),
+], ids=["ladder2", "ladder3", "forbidden_ladder", "ray"])
+def test_grown_model_matches_enumerated_builder_on_family_stages(sg, depth):
+    for n in range(1, depth + 1):
+        g = sg.stage(n)
+        for spec in (RelativeSpec.full(g), RelativeSpec.toeplitz()):
+            _assert_builders_agree(g, spec)
 
 
 def test_model_rejects_cycles_and_infinite_bundles():
@@ -615,27 +655,22 @@ def test_basis_without_a_terminal_trivial_path_fails_its_certificate(
 
 def test_deep_ladder_dimensions_neither_eliminate_nor_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dimensions must not eliminate or enumerate")
+        raise AssertionError("models must not eliminate or enumerate")
 
-    build = cli_io.build_ck_family
-
-    def build_then_refuse(*args):
-        rep = build(*args)  # the basis itself is enumerated
-        for name, mod in list(sys.modules.items()):
-            if name == "graphck" or name.startswith("graphck."):
-                for attr in ("exact_rank", "enumerate_paths"):
-                    if hasattr(mod, attr):
-                        monkeypatch.setattr(mod, attr, refuse)
-        return rep
-
-    monkeypatch.setattr(cli_io, "build_ck_family", build_then_refuse)
+    for name, mod in list(sys.modules.items()):
+        if name == "graphck" or name.startswith("graphck."):
+            for attr in ("exact_rank", "enumerate_paths"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
     code, text = run_command(["ck", "--family", "ladder2", "--depth", "12",
                               "--relative", "all", "--json"])
     assert code == 0
     assert json.loads(text)["dimension"] == (2 ** 12 - 1) ** 2
-    monkeypatch.undo()  # corner's own build enumerates its basis again
-    monkeypatch.setattr(cli_io, "build_ck_family", build_then_refuse)
     code, text = run_command(["corner", "--family", "ladder2", "--depth", "12",
                               "--vertex", "w_1", "--json"])
     assert code == 0
     assert json.loads(text)["dimension"] == (2 ** 11) ** 2
+    code, text = run_command(["bratteli", "--family", "ladder2", "--depth",
+                              "12", "--verify-embedding", "--json"])
+    assert code == 0
+    assert json.loads(text)["embedding_ok"] is True

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 
@@ -27,6 +28,7 @@ from graphck import (
 from graphck import cli_io
 from graphck.cli_io import ClaimLine
 from graphck.citations import known_tags
+from graphck.ideal_lattice import BASIS_SIZE_BOUND
 
 from helpers import g1, graphs, two_sinks
 
@@ -375,6 +377,44 @@ def test_ideals_bound_exceeded():
                               "--bound", "2"])
     assert code == 3
     assert "bound" in text
+
+
+def test_model_basis_past_the_bound_is_refused_before_it_is_built(tmp_path):
+    # 3,000,001 basis paths do not fit in the 1 GiB the process is given
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps(doc_of(edges=[
+        {"id": "e", "src": "v", "dst": "w", "cardinality": "finite:3000000"}])))
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    message = ("error: model basis would hold 3000001 paths, "
+               f"bound is {BASIS_SIZE_BOUND}")
+    for argv in (["ck"], ["corner", "--vertex", "v"]):
+        run = subprocess.run(
+            [sys.executable, "-m", "graphck", *argv, "--graph", str(doc)],
+            capture_output=True, text=True, preexec_fn=limit, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.strip() == message
+        assert "Traceback" not in run.stderr + run.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["ck", "--graph", str(GRAPH_DIR / "g1.json"), "--export"],
+    ["restrict", "--graph", str(GRAPH_DIR / "g1.json"), "--vertex", "v",
+     "--out"],
+    ["family", "ray", "--depth", "3", "--out"],
+], ids=["ck", "restrict", "family"])
+def test_unwritable_output_path_is_a_document_error(tmp_path, argv):
+    out = tmp_path / "missing" / "out.json"
+    code, text = run_command([*argv, str(out)])
+    assert code == 2
+    assert text.startswith(f"error: cannot write {out}: ")
+    assert "No such file or directory" in text
+    assert not out.parent.exists()
 
 
 def test_malformed_graph_file(tmp_path):
