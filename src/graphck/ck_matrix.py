@@ -112,12 +112,6 @@ class MatrixRep:
     def dim(self) -> int:
         return len(self.basis)
 
-    def index_of(self, path: Path) -> int:
-        return self._index[path]
-
-    def __post_init__(self) -> None:
-        self._index = {p: i for i, p in enumerate(self.basis)}
-
 
 def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
     """Assemble the model; the grown basis is sorted once by ``Path.sort_key``."""
@@ -357,13 +351,16 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     g = rep.graph
     maps = PathMaps(rep)
     _checked_relations(rep, maps)
+    # positions of the basis's trivial paths, found in one scan: a
+    # hand-built basis need not be sorted
+    at = {p: i for i, p in enumerate(rep.basis) if not p.edges}
     trivial: dict[str, int] = {}
     for t in terminal_vertices(g, rep.spec):
-        try:
-            trivial[t] = rep.index_of(Path(t, t, (), (t,)))
-        except KeyError:
+        i = at.get(Path(t, t, (), (t,)))
+        if i is None:
             raise InternalCheckError(
-                f"basis has no trivial path at terminal {t}") from None
+                f"basis has no trivial path at terminal {t}")
+        trivial[t] = i
     counts = dict.fromkeys(trivial, 0)
     for i, a in enumerate(rep.basis):
         if source is not None and a.source != source:

@@ -72,9 +72,8 @@ from .graph_model import (
     StagedGraph,
     cofinal,
     cycles_and_condition_l,
+    singular_vertices,
     sinks,
-    vertex_classes,
-    VertexKind,
 )
 from .ideal_lattice import (
     DEFAULT_VERTEX_BOUND,
@@ -236,10 +235,9 @@ def _cmd_analyze(g: Graph, label: str) -> Report:
           f"edges: {'infinitely many' if total is None else total}")
     rc = row_class(g)
     r.say(f"row class: {rc.value}")
-    classes = vertex_classes(g)
-    emitters = sorted(v for v, c in classes.items()
-                      if c.kind is VertexKind.INFINITE_EMITTER)
-    r.say(f"sinks: {_fmt_set(sinks(g))}; infinite emitters: {_fmt_set(emitters)}")
+    sk = sinks(g)
+    emitters = set(singular_vertices(g)).difference(sk)
+    r.say(f"sinks: {_fmt_set(sk)}; infinite emitters: {_fmt_set(emitters)}")
     cyc = cycles_and_condition_l(g)
     if not cyc.has_cycle:
         r.say("cycles: none")

@@ -17,8 +17,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -104,7 +103,7 @@ class Edge:
 
 def representative_edge_id(bundle: EdgeBundle) -> str:
     # canonical name of the bundle's first edge
-    if bundle.cardinality.is_finite and bundle.cardinality.count == 1:
+    if bundle.cardinality.count == 1:
         return bundle.id
     return f"{bundle.id}#0"
 
@@ -200,7 +199,7 @@ class Graph:
         if b is None:
             raise UnknownVertexError(f"unknown edge {edge_id!r}")
         if not sep:
-            if not (b.cardinality.is_finite and b.cardinality.count == 1):
+            if b.cardinality.count != 1:
                 raise UnknownVertexError(
                     f"edge {edge_id!r} needs a #slot for a multi-edge bundle")
             return Edge(edge_id, b.src, b.dst, b.id, 0)
@@ -349,67 +348,34 @@ def enumerate_paths(g: Graph, end_at: str | None = None,
 
 
 def count_paths_from(g: Graph, base: str) -> dict[str, int]:
-    """Number of paths from ``base`` to each vertex (trivial path included),
-    via cardinality-weighted DP over a topological order."""
+    """Number of paths from ``base`` to each vertex (trivial path included)."""
     g.require_vertex(base)
-    order = topological_order(g)
-    counts = {v: 0 for v in g.vertices}
+    counts = dict.fromkeys(g.vertices, 0)
     counts[base] = 1
-    for v in order:
+    return _count_paths(g, counts)
+
+
+def count_paths_ending(g: Graph) -> dict[str, int]:
+    """Number of paths (from anywhere, trivial included) ending at each
+    vertex."""
+    return _count_paths(g, dict.fromkeys(g.vertices, 1))
+
+
+def _count_paths(g: Graph, counts: dict[str, int]) -> dict[str, int]:
+    """Cardinality-weighted DP over a topological order: ``counts`` holds
+    each vertex's paths of length 0 on entry and all its paths on exit."""
+    for v in topological_order(g):
         c = counts[v]
         if not c:
             continue
-        for b in g.out_bundles(v):
+        for b in g._out[v]:
             if not b.cardinality.is_finite:
                 raise InfiniteBundleError(f"bundle {b.id!r} is not finite")
             counts[b.dst] += c * b.cardinality.count
     return counts
 
 
-def count_paths_ending(g: Graph) -> dict[str, int]:
-    """Number of paths (from anywhere, trivial included) ending at each
-    vertex."""
-    order = topological_order(g)
-    totals = {v: 1 for v in g.vertices}  # the trivial path
-    for v in order:
-        for b in g.out_bundles(v):
-            if not b.cardinality.is_finite:
-                raise InfiniteBundleError(f"bundle {b.id!r} is not finite")
-            totals[b.dst] += totals[v] * b.cardinality.count
-    return totals
-
-
 # --- vertex classes ----------------------------------------------------------
-
-
-class VertexKind(Enum):
-    SINK = "sink"
-    REGULAR = "regular"
-    INFINITE_EMITTER = "infinite_emitter"
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    kind: VertexKind
-    out_degree: int | None  # expanded edge count; None for infinite emitters
-
-    @property
-    def is_singular(self) -> bool:
-        return self.kind is not VertexKind.REGULAR
-
-
-def vertex_classes(g: Graph) -> dict[str, VertexClass]:
-    """Classify every vertex as sink, regular (with its out-degree), or
-    infinite emitter."""
-    out: dict[str, VertexClass] = {}
-    for v in g.vertices:
-        if g.is_sink(v):
-            out[v] = VertexClass(VertexKind.SINK, 0)
-        elif g.emits_infinitely(v):
-            out[v] = VertexClass(VertexKind.INFINITE_EMITTER, None)
-        else:
-            out[v] = VertexClass(VertexKind.REGULAR, g.out_degree(v))
-    return out
 
 
 def _sinks_and_regular(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -432,7 +398,9 @@ def sinks(g: Graph) -> list[str]:
 
 
 def singular_vertices(g: Graph) -> list[str]:
-    return [v for v in g.vertices if g.is_sink(v) or g.emits_infinitely(v)]
+    """Sinks and infinite emitters, in graph order."""
+    regular = set(_sinks_and_regular(g)[1])
+    return [v for v in g.vertices if v not in regular]
 
 
 def regular_vertices(g: Graph) -> list[str]:
@@ -468,22 +436,17 @@ def reachable_set(g: Graph, v: str) -> frozenset[str]:
 
 
 def topological_order(g: Graph) -> list[str]:
-    """Kahn's algorithm; raises CyclicGraphError when a cycle exists."""
-    indeg = {v: 0 for v in g.vertices}
-    for b in g.bundles:
-        indeg[b.dst] += 1
-    queue = deque(v for v in g.vertices if indeg[v] == 0)
-    order = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for b in g._out[v]:
-            indeg[b.dst] -= 1
-            if indeg[b.dst] == 0:
-                queue.append(b.dst)
-    if len(order) != len(g.vertices):
+    """Vertices in an order where every bundle runs forward; raises
+    CyclicGraphError when a cycle exists.
+
+    Read from the cached Tarjan pass: Tarjan emits a component only after
+    every component reachable from it, so the reversed emission order puts
+    each component before everything it reaches.  On an acyclic graph
+    every component is one vertex.
+    """
+    if has_cycle(g):
         raise CyclicGraphError("graph has a cycle")
-    return order
+    return [c[0] for c in reversed(strongly_connected_components(g))]
 
 
 def has_cycle(g: Graph) -> bool:
@@ -609,7 +572,7 @@ def cycles_and_condition_l(g: Graph) -> CycleReport:
     unique_out: dict[str, EdgeBundle] = {}
     for v in g.vertices:
         bs = g._out[v]
-        if len(bs) == 1 and bs[0].cardinality == finite(1):
+        if len(bs) == 1 and bs[0].cardinality.count == 1:
             unique_out[v] = bs[0]
     witness: Path | None = None
     state: dict[str, int] = {}  # 0 visiting, 1 done
@@ -674,7 +637,7 @@ class UniformProfile:
 
     * ``min_out_degree``: every vertex already present in the previous
       stage emits at least this many edges (so in the limit every vertex
-      does).  Checked when materializing each stage past ``beyond_stage``.
+      does).  Checked when materializing each stage.
     * ``spine``: 1-based vertex naming for a distinguished infinite vertex
       sequence; consecutive spine vertices must be joined by an edge.
     * ``spine_exclusive``: each non-frontier spine vertex emits exactly one
@@ -683,7 +646,6 @@ class UniformProfile:
     """
 
     min_out_degree: int | None = None
-    beyond_stage: int = 0
     spine: Callable[[int], str] | None = None
     spine_exclusive: bool = False
     acyclic_stages: bool = False
@@ -746,7 +708,7 @@ class StagedGraph:
         if prof.acyclic_stages and has_cycle(g):
             raise StageError(f"{self.name}: stage {k} is cyclic "
                              "but the profile claims acyclic stages")
-        if prof.min_out_degree is not None and k > prof.beyond_stage and k > 0:
+        if prof.min_out_degree is not None and k > 0:
             prev = self._stages[k - 1]
             for v in prev.vertices:
                 d = g.out_degree(v)
@@ -765,7 +727,7 @@ class StagedGraph:
                         f"{self.name}: spine vertices {a!r}->{b!r} not joined at stage {k}")
                 if prof.spine_exclusive:
                     all_out = g.out_bundles(a)
-                    if len(all_out) != 1 or all_out[0].cardinality != finite(1) \
+                    if len(all_out) != 1 or all_out[0].cardinality.count != 1 \
                             or all_out[0].dst != b:
                         raise StageError(
                             f"{self.name}: spine vertex {a!r} is not exclusive at stage {k}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from graphck import (
     ALEPH0,
     UNCOUNTABLE,
     CkReport,
+    CyclicGraphError,
     EdgeBundle,
     Graph,
     GraphBuildError,
@@ -178,6 +180,25 @@ def random_graph(rng, max_vertices: int = 8, max_bundles: int = 12,
 
 
 # --- brute-force oracles -----------------------------------------------------------
+
+
+def kahn_order(g: Graph) -> list[str]:
+    """Kahn's algorithm; raises CyclicGraphError when a cycle exists."""
+    indeg = {v: 0 for v in g.vertices}
+    for b in g.bundles:
+        indeg[b.dst] += 1
+    queue = deque(v for v in g.vertices if indeg[v] == 0)
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for b in g._out[v]:
+            indeg[b.dst] -= 1
+            if indeg[b.dst] == 0:
+                queue.append(b.dst)
+    if len(order) != len(g.vertices):
+        raise CyclicGraphError("graph has a cycle")
+    return order
 
 
 def brute_ladder_length(g: Graph) -> int:

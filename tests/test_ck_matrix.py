@@ -167,7 +167,7 @@ def test_g1_toeplitz_gap():
     gaps = gap_projections(rep)
     assert set(gaps) == {"v"}
     assert gaps["v"].nonzero
-    i_v = rep.index_of(Path.trivial(g, "v"))
+    i_v = rep.basis.index(Path.trivial(g, "v"))
     assert gaps["v"].matrix.entries == {(i_v, i_v): 1}
 
 
@@ -218,7 +218,7 @@ def test_vertex_projection_that_is_not_diagonal_fails():
     # permutation orthogonal to p_b, and every other relation holds
     g = Graph(["a", "b"], [])
     rep = build_ck_family(g, RelativeSpec.toeplitz())
-    i_a, i_b = (rep.index_of(Path.trivial(g, v)) for v in ("a", "b"))
+    i_a, i_b = (rep.basis.index(Path.trivial(g, v)) for v in ("a", "b"))
     rep.vertex_projections["a"] = IntMatrix.from_partial_perm({i_a: i_b},
                                                               rep.dim)
     message = "vertex projection p_a is not diagonal"

@@ -231,6 +231,16 @@ def test_analyze_uncountable_rose():
     assert "infinitely many" in text
 
 
+def test_analyze_lists_sinks_and_infinite_emitters_apart(tmp_path):
+    p = tmp_path / "mixed.json"
+    p.write_text(json.dumps({"vertices": ["s", "r", "i"], "edges": [
+        {"id": "e", "src": "r", "dst": "s", "cardinality": "finite:2"},
+        {"id": "f", "src": "i", "dst": "s", "cardinality": "aleph0"}]}))
+    code, text = run_command(["analyze", "--graph", str(p)])
+    assert code == 0
+    assert "  sinks: {s}; infinite emitters: {i}  [computed]" in text.splitlines()
+
+
 def test_ideals_two_sinks():
     code, text = run_command(["ideals", "--graph",
                               str(GRAPH_DIR / "two_sinks.json"), "--json"])

@@ -1,7 +1,7 @@
 # Core graph container, paths, traversals, staged families.
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from graphck import (
     ALEPH0,
@@ -34,9 +34,7 @@ from graphck import (
     regular_vertices,
     strongly_connected_components,
     topological_order,
-    vertex_classes,
 )
-from graphck.graph_model import VertexKind
 
 import helpers
 from helpers import (
@@ -185,10 +183,6 @@ def test_out_degree_counts_slots_not_bundles():
 def test_vertex_classes_on_mixed_graph():
     g = Graph(["s", "r", "i"], [EdgeBundle("e", "r", "s", finite(2)),
                                 EdgeBundle("f", "i", "s", ALEPH0)])
-    cls = vertex_classes(g)
-    assert cls["s"].kind is VertexKind.SINK
-    assert cls["r"].kind is VertexKind.REGULAR
-    assert cls["i"].kind is VertexKind.INFINITE_EMITTER
     assert sinks(g) == ["s"]
     assert singular_vertices(g) == ["s", "i"]  # graph order
     assert regular_vertices(g) == ["r"]
@@ -296,24 +290,41 @@ def test_enumerate_paths_vertex_trails():
             validate_path(g, p)
 
 
-def test_count_paths_matches_enumeration():
-    for g in (g1(), two_sinks(), line(4), diamond(), ladder_family(2).stage(3)):
-        by_end = count_paths_ending(g)
+@settings(max_examples=100)
+@given(graphs(acyclic=True))
+@example(g1())
+@example(two_sinks())
+@example(line(4))
+@example(diamond())
+@example(ladder_family(2).stage(3))
+def test_count_paths_matches_enumeration(g):
+    # fixed graphs plus acyclic multigraphs with finite:n bundles
+    by_end = count_paths_ending(g)
+    for v in g.vertices:
+        assert by_end[v] == len(enumerate_paths(g, end_at=v))
+    everything = enumerate_paths(g)
+    for base in g.vertices:
+        from_base = count_paths_from(g, base)
         for v in g.vertices:
-            assert by_end[v] == len(enumerate_paths(g, end_at=v))
-        for base in g.vertices:
-            from_base = count_paths_from(g, base)
-            everything = enumerate_paths(g)
-            for v in g.vertices:
-                want = sum(1 for p in everything
-                           if p.source == base and p.target == v)
-                assert from_base[v] == want
+            want = sum(1 for p in everything
+                       if p.source == base and p.target == v)
+            assert from_base[v] == want
 
 
 def test_count_paths_multiplicity():
     g = Graph(["v", "w"], [EdgeBundle("e", "v", "w", finite(3))])
     assert count_paths_from(g, "v") == {"v": 1, "w": 3}
     assert count_paths_ending(g) == {"v": 1, "w": 4}
+
+
+def test_count_paths_refuse_only_reached_infinite_bundles():
+    g = Graph(["u", "v", "w"], [EdgeBundle("e", "v", "w", finite(3)),
+                                EdgeBundle("f", "u", "w", ALEPH0)])
+    assert count_paths_from(g, "v") == {"u": 0, "v": 1, "w": 3}
+    with pytest.raises(InfiniteBundleError):
+        count_paths_from(g, "u")
+    with pytest.raises(InfiniteBundleError):
+        count_paths_ending(g)
 
 
 # --- traversals ----------------------------------------------------------------
@@ -335,8 +346,9 @@ def test_topological_order_on_line():
 
 
 @settings(max_examples=60)
-@given(graphs(acyclic=True))
+@given(graphs(acyclic=True, infinite_ok=True))
 def test_topological_order_property(g):
+    # parallel, finite:n and infinite bundles included
     order = topological_order(g)
     assert sorted(order) == sorted(g.vertices)
     pos = {v: i for i, v in enumerate(order)}
@@ -353,9 +365,10 @@ def test_has_cycle():
 @settings(max_examples=150)
 @given(graphs(max_vertices=5, max_bundles=8, infinite_ok=True))
 def test_has_cycle_matches_topological_order(g):
-    # self-loops, parallel bundles and infinite bundles included
+    # self-loops, parallel bundles and infinite bundles included; Kahn's
+    # algorithm is the independent oracle for the Tarjan-based answer
     try:
-        topological_order(g)
+        helpers.kahn_order(g)
     except CyclicGraphError:
         assert has_cycle(g)
     else:
@@ -517,14 +530,22 @@ def test_staged_spine_join_violation():
 
 
 def test_staged_spine_exclusive_violation():
-    # ladder rungs are parallel, so the spine is not exclusive
-    def build(n):
-        return ladder_family(2).stage(n)
+    # an exclusive spine vertex emits one single edge: parallel ladder
+    # rungs, one finite:2 bundle and one aleph0 bundle each break that
+    def spine_of(card):
+        def build(n):
+            vs = [f"w_{i}" for i in range(1, n + 1)]
+            return Graph(vs, [EdgeBundle(f"e_{i}", vs[i - 1], vs[i], card)
+                              for i in range(1, n)])
+        return build
 
     prof = UniformProfile(spine=lambda i: f"w_{i}", spine_exclusive=True)
-    sg = StagedGraph("fat-spine", build, prof)
-    with pytest.raises(StageError):
-        sg.stage(2)  # the first stage with a consecutive spine pair
+    assert StagedGraph("thin-spine", spine_of(finite(1)), prof).stage(3)
+    for build in (ladder_family(2).stage, spine_of(finite(2)),
+                  spine_of(ALEPH0)):
+        sg = StagedGraph("fat-spine", build, prof)
+        with pytest.raises(StageError, match="'w_1' is not exclusive"):
+            sg.stage(2)  # the first stage with a consecutive spine pair
 
 
 def test_spine_prefix_without_profile():
