@@ -126,11 +126,10 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
     for e in g.finite_edges():
         into[e.dst].append(e)
     # (path, its first edge, the index of its tail), from the trivial paths
-    grown = [(Path(t, t, (), (t,)), None, None) for t in terms]
+    grown = [(Path(t, t, ()), None, None) for t in terms]
     for i, (a, _, _) in enumerate(grown):  # also visits the paths it appends
         for e in into[a.source]:
-            grown.append((Path(e.src, a.target, (e.id,) + a.edges,
-                               (e.src,) + a.vertex_seq), e.id, i))
+            grown.append((Path(e.src, a.target, (e.id,) + a.edges), e.id, i))
     order = sorted(range(size), key=lambda i: grown[i][0].sort_key())
     position = {i: j for j, i in enumerate(order)}
     by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
@@ -356,7 +355,7 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     at = {p: i for i, p in enumerate(rep.basis) if not p.edges}
     trivial: dict[str, int] = {}
     for t in terminal_vertices(g, rep.spec):
-        i = at.get(Path(t, t, (), (t,)))
+        i = at.get(Path(t, t, ()))
         if i is None:
             raise InternalCheckError(
                 f"basis has no trivial path at terminal {t}")

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .graph_model import (
     Graph,
-    LassoPath,
     Path,
     StagedGraph,
     cofinal,
@@ -95,7 +94,6 @@ class Witness:
     kind: str  # "exitless-cycle" | "unreached-cycle" | "saturated-hereditary-set"
     cycle: Path | None = None
     vertex: str | None = None
-    lasso: LassoPath | None = None
     vertex_set: frozenset[str] | None = None
 
     def describe(self) -> str:
@@ -103,7 +101,7 @@ class Witness:
             return f"exitless cycle {self.cycle.label()}"
         if self.kind == "unreached-cycle":
             return (f"vertex {self.vertex} cannot reach the cycle "
-                    f"{self.lasso.cycle.label()}")
+                    f"{self.cycle.label()}")
         return ("proper nontrivial saturated hereditary set "
                 f"{{{', '.join(sorted(self.vertex_set))}}}")
 
@@ -147,8 +145,8 @@ def is_simple(g: Graph) -> SimplicityResult:
         if not cyc.condition_l:
             witness = Witness("exitless-cycle", cycle=cyc.witness)
         elif not cof.cofinal:
-            v, lasso = cof.witness
-            witness = Witness("unreached-cycle", vertex=v, lasso=lasso)
+            v, cycle = cof.witness
+            witness = Witness("unreached-cycle", cycle=cycle, vertex=v)
         else:
             # condition (L) and cofinality hold but some singular vertex is
             # unreachable; the lattice then has a proper nontrivial element,
@@ -389,14 +387,14 @@ def _verdict_staged(sg: StagedGraph, depth: int) -> Verdict:
     if sg.constant:
         return _verdict_finite(sg.stage(depth))
     stage = sg.stage(depth)
-    prof = sg.profile
     unknown = Verdict(VerdictTag.UNKNOWN_AT_DEPTH, depth=depth,
                       reason=f"no certificate decides the limit at stage {depth}",
                       citations=("computed",))
-    if prof is None or not prof.acyclic_stages or has_cycle(stage):
+    # no cycle test: sg.stage refused a cyclic stage under this claim
+    if sg.profile is None or not sg.profile.acyclic_stages:
         return unknown
-    if prof.spine is not None and prof.spine_exclusive \
-            and (prof.min_out_degree or 0) >= 1:
+    tag = _dichotomy_staged(sg, depth).tag
+    if tag is DichotomyTag.CASE_II:
         if not stage.vertices or not is_simple(stage).simple:
             return unknown
         return Verdict(
@@ -404,7 +402,7 @@ def _verdict_staged(sg: StagedGraph, depth: int) -> Verdict:
             reason="certified exclusive tail with no limit sinks: the "
                    "algebra is the compacts on the separable sequence space",
             citations=("af-unique-irrep-compacts", "sink-or-tail-dichotomy"))
-    if (prof.min_out_degree or 0) >= 2:
+    if tag is DichotomyTag.NEITHER:
         return Verdict(
             VerdictTag.MULTIPLE_IRREPS,
             reason="certified acyclic limit with no sinks and no exclusive "

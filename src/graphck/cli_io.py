@@ -548,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, metavar="NAME")
     sp.add_argument("--depth", type=int, default=6, metavar="N")
     sp.add_argument("--verify-embedding", action="store_true",
-                    help="check the last inclusion exactly, matrix by matrix")
+                    help="certify the last inclusion exactly from the "
+                         "bigger stage's relations; no unit is formed")
 
     sp = sub.add_parser("family",
                         help="materialize a builtin family stage as a document")
@@ -577,16 +578,12 @@ def _resolve_finite(args) -> tuple[Graph, str]:
 
 def _resolve_subject(args) -> tuple[Graph | StagedGraph, str]:
     """Graph file -> finite graph; family -> the staged family itself."""
-    if getattr(args, "graph", None) and getattr(args, "family", None):
-        raise DocumentError("pass only one of --graph and --family")
-    if getattr(args, "graph", None):
-        return load_graph_file(args.graph), args.graph
-    if getattr(args, "family", None):
+    if getattr(args, "family", None) and not getattr(args, "graph", None):
         sg = builtin_family(args.family)
         if sg.constant:  # one fixed graph: classify it directly
             return sg.stage(0), f"family {args.family} (constant)"
         return sg, f"family {args.family}, depth {args.depth}"
-    raise DocumentError("pass --graph FILE or --family NAME")
+    return _resolve_finite(args)
 
 
 def _expand_batch(paths: list[str]) -> list[str]:

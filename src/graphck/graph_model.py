@@ -97,8 +97,6 @@ class Edge:
     id: str
     src: str
     dst: str
-    bundle_id: str
-    slot: int
 
 
 def representative_edge_id(bundle: EdgeBundle) -> str:
@@ -143,9 +141,6 @@ class Graph:
         if v not in self.vertex_set:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
-    def bundle(self, bundle_id: str) -> EdgeBundle:
-        return self._by_id[bundle_id]
-
     def out_bundles(self, v: str) -> list[EdgeBundle]:
         self.require_vertex(v)
         return self._out[v]
@@ -183,10 +178,10 @@ class Graph:
                         f"bundle {b.id!r} is not finite; cannot expand edges")
                 n = b.cardinality.count
                 if n == 1:
-                    edges.append(Edge(b.id, b.src, b.dst, b.id, 0))
+                    edges.append(Edge(b.id, b.src, b.dst))
                 else:
                     for k in range(n):
-                        edges.append(Edge(f"{b.id}#{k}", b.src, b.dst, b.id, k))
+                        edges.append(Edge(f"{b.id}#{k}", b.src, b.dst))
             edges.sort(key=lambda e: e.id)
             self._finite_edges = tuple(edges)
         return self._finite_edges
@@ -202,7 +197,7 @@ class Graph:
             if b.cardinality.count != 1:
                 raise UnknownVertexError(
                     f"edge {edge_id!r} needs a #slot for a multi-edge bundle")
-            return Edge(edge_id, b.src, b.dst, b.id, 0)
+            return Edge(edge_id, b.src, b.dst)
         try:
             slot = int(slot_text)
         except ValueError:
@@ -212,7 +207,7 @@ class Graph:
         if b.cardinality.is_finite:
             if b.cardinality.count == 1 or slot >= b.cardinality.count:
                 raise UnknownVertexError(f"edge {edge_id!r} out of range")
-        return Edge(edge_id, b.src, b.dst, b.id, slot)
+        return Edge(edge_id, b.src, b.dst)
 
     # --- comparison ---------------------------------------------------------
 
@@ -251,16 +246,12 @@ def build_graph(vertices: Sequence[str], bundles: Sequence[EdgeBundle]) -> Graph
 
 @dataclass(frozen=True)
 class Path:
-    """A finite path: a composable edge-id sequence plus its vertex trail.
-
-    Length-0 paths are single vertices.  ``vertex_seq`` always has one more
-    entry than ``edges``.
-    """
+    """A finite path: a composable edge-id sequence from ``source`` to
+    ``target``.  Length-0 paths are single vertices."""
 
     source: str
     target: str
     edges: tuple[str, ...]
-    vertex_seq: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -278,7 +269,7 @@ class Path:
     @staticmethod
     def trivial(g: Graph, v: str) -> "Path":
         g.require_vertex(v)
-        return Path(v, v, (), (v,))
+        return Path(v, v, ())
 
     @staticmethod
     def from_edges(g: Graph, edge_ids: Sequence[str]) -> "Path":
@@ -289,28 +280,7 @@ class Path:
             if a.dst != b.src:
                 raise GraphBuildError(
                     f"edges {a.id!r} and {b.id!r} do not compose")
-        seq = (resolved[0].src,) + tuple(e.dst for e in resolved)
-        return Path(resolved[0].src, resolved[-1].dst, tuple(edge_ids), seq)
-
-
-@dataclass(frozen=True)
-class LassoPath:
-    """A finite stem followed by a cycle — the shape of an eventually
-    periodic infinite path."""
-
-    stem: Path
-    cycle: Path
-
-    def __post_init__(self) -> None:
-        if len(self.cycle) < 1:
-            raise GraphBuildError("lasso cycle must have length >= 1")
-        if self.cycle.source != self.cycle.target:
-            raise GraphBuildError("lasso cycle must return to its source")
-        if self.stem.target != self.cycle.source:
-            raise GraphBuildError("lasso stem must end where the cycle starts")
-
-    def visited_vertices(self) -> frozenset[str]:
-        return frozenset(self.stem.vertex_seq) | frozenset(self.cycle.vertex_seq)
+        return Path(resolved[0].src, resolved[-1].dst, tuple(edge_ids))
 
 
 def enumerate_paths(g: Graph, end_at: str | None = None,
@@ -333,16 +303,15 @@ def enumerate_paths(g: Graph, end_at: str | None = None,
     if end_at is not None:
         g.require_vertex(end_at)
     for t in targets:
-        # grow paths backwards from the range vertex, carrying the vertex
-        # trail: seq[0] is the path's source
-        stack: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((), (t,))]
+        # grow paths backwards from the range vertex
+        stack: list[tuple[tuple[str, ...], str]] = [((), t)]
         while stack:
-            suffix, seq = stack.pop()
-            out.append(Path(seq[0], t, suffix, seq))
+            suffix, source = stack.pop()
+            out.append(Path(source, t, suffix))
             if max_len is not None and len(suffix) >= max_len:
                 continue
-            for e in into[seq[0]]:
-                stack.append(((e.id,) + suffix, (e.src,) + seq))
+            for e in into[source]:
+                stack.append(((e.id,) + suffix, e.src))
     out.sort(key=Path.sort_key)
     return out
 
@@ -601,7 +570,7 @@ def cycles_and_condition_l(g: Graph) -> CycleReport:
 @dataclass(frozen=True)
 class CofinalityResult:
     cofinal: bool
-    witness: tuple[str, LassoPath] | None  # (vertex, unreachable cycle)
+    witness: tuple[str, Path] | None  # (vertex, a cycle it cannot reach)
 
 
 def cofinal(g: Graph) -> CofinalityResult:
@@ -619,9 +588,7 @@ def cofinal(g: Graph) -> CofinalityResult:
         reach_back = traverse(g, comp, forward=False)
         if len(reach_back) != len(g.vertices):
             blocked = min(v for v in g.vertices if v not in reach_back)
-            cyc = _cycle_within(g, comp)
-            lasso = LassoPath(Path.trivial(g, cyc.source), cyc)
-            return CofinalityResult(False, (blocked, lasso))
+            return CofinalityResult(False, (blocked, _cycle_within(g, comp)))
     return CofinalityResult(True, None)
 
 

@@ -293,8 +293,7 @@ def enumerated_ck_family(g: Graph, spec: RelativeSpec,
         col_to_row: dict[int, int] = {}
         for i in by_source[e.dst]:
             tail = basis[i]
-            extended = Path(e.src, tail.target, (e.id,) + tail.edges,
-                            (e.src,) + tail.vertex_seq)
+            extended = Path(e.src, tail.target, (e.id,) + tail.edges)
             col_to_row[i] = index[extended]
         isometries[e.id] = IntMatrix.from_partial_perm(col_to_row, dim)
     return MatrixRep(g, spec, tuple(basis), projections, isometries)
@@ -346,10 +345,8 @@ def product_embed_check(rep_small, rep_big) -> tuple[bool, int, list[str]]:
                        @ product_path_matrix(rep_big, b).transpose())
                 rhs = lhs if big.is_sink(v) else IntMatrix.zero(rep_big.dim)
                 for e in outs:
-                    ae = Path(a.source, e.dst, a.edges + (e.id,),
-                              a.vertex_seq + (e.dst,))
-                    be = Path(b.source, e.dst, b.edges + (e.id,),
-                              b.vertex_seq + (e.dst,))
+                    ae = Path(a.source, e.dst, a.edges + (e.id,))
+                    be = Path(b.source, e.dst, b.edges + (e.id,))
                     rhs = rhs + (product_path_matrix(rep_big, ae)
                                  @ product_path_matrix(rep_big, be).transpose())
                 checked += 1

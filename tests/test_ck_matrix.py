@@ -615,7 +615,7 @@ def test_corner_basis_missing_a_path_fails_its_certificate():
     # sources and finds no basis path from v into w
     g = g1()
     v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
-    stray = Path("w", "w", ("e",), ("w", "w"))
+    stray = Path("w", "w", ("e",))
     rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w, stray),
                     {"v": IntMatrix.from_diag([0, 2], 3),
                      "w": IntMatrix.from_diag([1], 3)},
@@ -634,7 +634,7 @@ def test_basis_without_a_terminal_trivial_path_fails_its_certificate(
     # but the certificate finds no trivial path at the terminal w
     g = g1()
     rep = build_ck_family(g, RelativeSpec.full(g))
-    stray = Path("v", "w", ("e", "e"), ("v", "w", "w"))
+    stray = Path("v", "w", ("e", "e"))
     tampered = MatrixRep(g, rep.spec, (stray, rep.basis[1]),
                          rep.vertex_projections, rep.edge_isometries)
     assert verify_ck(tampered).failures == []
