@@ -120,8 +120,8 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
     ending = count_paths_ending(g)
     size = sum(ending[t] for t in terms)
     if size > BASIS_SIZE_BOUND:
-        raise BoundExceededError(f"model basis would hold {size} paths, "
-                                 f"bound is {BASIS_SIZE_BOUND}")
+        raise BoundExceededError(
+            f"model basis would hold more than {BASIS_SIZE_BOUND} paths")
     into: dict[str, list[Edge]] = {v: [] for v in g.vertices}
     for e in g.finite_edges():
         into[e.dst].append(e)

@@ -30,10 +30,12 @@ a bug, not a property of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
+    BoundExceededError,
     CyclicGraphError,
     EmptyGraphError,
     InfiniteBundleError,
@@ -375,9 +377,15 @@ def _verdict_finite(g: Graph) -> Verdict:
         raise InternalCheckError(
             "a simple finite acyclic graph must have exactly one sink")
     dim = count_paths_ending(g)[dich.sink]
+    try:
+        shown = str(dim)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise BoundExceededError(
+            f"algebra dimension has more than {sys.get_int_max_str_digits()} "
+            "digits") from None
     return Verdict(VerdictTag.UNIQUE_IRREP_COMPACTS, dimension=dim,
                    reason=f"one sink {dich.sink!r}; the algebra is the full "
-                          f"matrix algebra on the {dim} paths into it",
+                          f"matrix algebra on the {shown} paths into it",
                    citations=("af-unique-irrep-compacts",
                               "sink-or-tail-dichotomy"),
                    simplicity=simp)

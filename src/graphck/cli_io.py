@@ -76,7 +76,6 @@ from .graph_model import (
     sinks,
 )
 from .ideal_lattice import (
-    DEFAULT_VERTEX_BOUND,
     downstream,
     enumerate_saturated_hereditary,
     is_saturated,
@@ -153,6 +152,15 @@ def emit_graph_document(g: Graph, name: str | None = None) -> dict:
                      "cardinality": b.cardinality.encode()}
                     for b in g.bundles]
     return doc
+
+
+def _check_target(path: str) -> None:
+    """Refuse an output path whose directory is missing, before any work
+    is spent on what would be written there."""
+    try:
+        pathlib.Path(path).parent.stat()
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None
 
 
 def _write_file(path: str, text: str) -> None:
@@ -284,9 +292,9 @@ def _cmd_classify(subject: Graph | StagedGraph, label: str, depth: int) -> Repor
     return r
 
 
-def _cmd_ideals(g: Graph, label: str, bound: int) -> Report:
+def _cmd_ideals(g: Graph, label: str) -> Report:
     r = Report("ideals", label)
-    sets = enumerate_saturated_hereditary(g, bound)
+    sets = enumerate_saturated_hereditary(g)
     r.say(f"saturated hereditary vertex sets: {len(sets)}")
     shown = sets if len(sets) <= 64 else sets[:64]
     for s in shown:
@@ -517,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ideals", help="saturated hereditary vertex sets")
     _add_source(sp)
-    sp.add_argument("--bound", type=int, default=DEFAULT_VERTEX_BOUND,
-                    metavar="N", help="vertex-count enumeration guard")
 
     sp = sub.add_parser("restrict",
                         help="restrict to the downstream closure of a vertex")
@@ -633,6 +639,9 @@ def _run_batch(paths: list[str], body) -> tuple[int, list[Report]]:
 
 def _dispatch(args) -> tuple[int, list[Report]]:
     cmd = args.command
+    target = getattr(args, "export", None) or getattr(args, "out", None)
+    if target:
+        _check_target(target)
     if cmd == "analyze":
         if args.batch:
             return _run_batch(args.batch, _cmd_analyze)
@@ -646,7 +655,7 @@ def _dispatch(args) -> tuple[int, list[Report]]:
         return 0, [_cmd_classify(subject, label, args.depth)]
     if cmd == "ideals":
         g, label = _resolve_finite(args)
-        return 0, [_cmd_ideals(g, label, args.bound)]
+        return 0, [_cmd_ideals(g, label)]
     if cmd == "restrict":
         g, label = _resolve_finite(args)
         return 0, [_cmd_restrict(g, label, args.vertex, args.out)]

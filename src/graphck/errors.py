@@ -46,7 +46,8 @@ class NotHereditaryError(PreconditionError):
 
 
 class BoundExceededError(PreconditionError):
-    """An enumeration guard tripped (vertex count or lattice size)."""
+    """A size or work guard tripped (lattice elements, lattice work, model
+    basis paths, or a dimension too long to print)."""
 
 
 class StageError(PreconditionError):

@@ -19,6 +19,7 @@ from graphck import (
     Graph,
     GraphBuildError,
     IntMatrix,
+    NotHereditaryError,
     Path,
     RelativeSpec,
     RelativeSpecError,
@@ -26,9 +27,12 @@ from graphck import (
     enumerate_paths,
     exact_rank,
     finite,
+    hereditary_closure,
+    is_hereditary,
     reachable_set,
     regular_vertices,
 )
+from graphck.ideal_lattice import lattice_order
 from graphck.ck_matrix import (
     GapEntry,
     MatrixRep,
@@ -199,6 +203,52 @@ def kahn_order(g: Graph) -> list[str]:
     if len(order) != len(g.vertices):
         raise CyclicGraphError("graph has a cycle")
     return order
+
+
+def saturate(g: Graph, vertices) -> frozenset[str]:
+    """Smallest saturated superset of a hereditary set, by fixpoint; the
+    result is still hereditary, because a vertex is only added once all
+    its successors are already inside."""
+    s = set(vertices)
+    if not is_hereditary(g, s):
+        raise NotHereditaryError("saturate requires a hereditary set")
+    return _saturate_fixpoint(g, s)
+
+
+def _saturate_fixpoint(g: Graph, s: set[str]) -> frozenset[str]:
+    regs = regular_vertices(g)
+    changed = True
+    while changed:
+        changed = False
+        for v in regs:
+            if v in s:
+                continue
+            if all(b.dst in s for b in g._out[v]):
+                s.add(v)
+                changed = True
+    return frozenset(s)
+
+
+def join_closure_lattice(g: Graph) -> list[frozenset[str]]:
+    """Every saturated hereditary set, by closing the singleton closures
+    under the join ``saturate(A | B)``: any saturated hereditary set is
+    the join of the singleton closures of its members.  Its closures go
+    through the fixpoint ``saturate``, not the worklist closure that route
+    3 and the production enumeration use."""
+    generators = {saturate(g, hereditary_closure(g, [v])) for v in g.vertices}
+    lattice = {frozenset()} | generators
+    frontier = list(lattice)
+    while frontier:
+        a = frontier.pop()
+        for b in generators:
+            if b <= a:
+                continue
+            # a union of hereditary sets is hereditary
+            j = b if b >= a else _saturate_fixpoint(g, set(a | b))
+            if j not in lattice:
+                lattice.add(j)
+                frontier.append(j)
+    return sorted(lattice, key=lattice_order)
 
 
 def brute_ladder_length(g: Graph) -> int:

@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from graphck import (
     parse_graph_document,
     run_command,
 )
-from graphck import cli_io
+from graphck import cli_io, ideal_lattice
 from graphck.cli_io import ClaimLine
 from graphck.citations import known_tags
 from graphck.ideal_lattice import BASIS_SIZE_BOUND
@@ -179,8 +180,8 @@ def test_classify_constant_family_goes_finite():
 
 
 def test_classify_cross_checks_routes_above_twenty_vertices(tmp_path):
-    # a 22-vertex line plus an isolated sink: the lattice enumeration bound
-    # is 20 vertices, but route 3 is computed on every graph
+    # a 22-vertex line plus an isolated sink: route 3 is computed on every
+    # graph, whatever its size
     line = [f"v{i}" for i in range(22)]
     g = build_graph(line + ["z"], [EdgeBundle(f"e{i}", a, b)
                                    for i, (a, b) in enumerate(zip(line, line[1:]))])
@@ -381,12 +382,79 @@ def test_ck_bad_relative_spec():
     assert "must name regular vertices" in text
 
 
-def test_ideals_bound_exceeded():
+def test_ideals_bound_exceeded(monkeypatch):
+    # two_sinks has four saturated hereditary sets
+    monkeypatch.setattr(ideal_lattice, "LATTICE_SIZE_BOUND", 3)
+    code, text = run_command(["ideals", "--graph",
+                              str(GRAPH_DIR / "two_sinks.json")])
+    assert code == 3
+    assert text == "error: lattice exceeded 3 elements"
+    # there is no vertex-count guard to set
     code, text = run_command(["ideals", "--graph",
                               str(GRAPH_DIR / "two_sinks.json"),
                               "--bound", "2"])
-    assert code == 3
-    assert "bound" in text
+    assert code == 2
+    assert text == "error: unrecognized arguments: --bound 2"
+
+
+def _chain_doc(n: int, cardinality: str) -> dict:
+    chain = [f"v{i}" for i in range(n)]
+    return {"vertices": chain,
+            "edges": [{"id": f"e{i}", "src": a, "dst": b,
+                       "cardinality": cardinality}
+                      for i, (a, b) in enumerate(zip(chain, chain[1:]))]}
+
+
+def _stress_doc(shape: str) -> dict:
+    if shape == "edgeless25":
+        return {"vertices": [f"v{i}" for i in range(25)]}
+    if shape == "edgeless100000":
+        return {"vertices": [f"v{i}" for i in range(100_000)]}
+    if shape == "comb1000":  # spine s0 -> ... -> s999, tooth si -> ti
+        spine = [f"s{i}" for i in range(1000)]
+        teeth = [f"t{i}" for i in range(1000)]
+        arcs = list(zip(spine, spine[1:])) + list(zip(spine, teeth))
+        return {"vertices": spine + teeth,
+                "edges": [{"id": f"e{i}", "src": a, "dst": b}
+                          for i, (a, b) in enumerate(arcs)]}
+    if shape == "aleph0_chain2000":
+        return _chain_doc(2000, "aleph0")
+    if shape == "line2000":
+        return _chain_doc(2000, "finite:1")
+    doc = _chain_doc(2000, "finite:1")  # cycle2000
+    doc["edges"].append({"id": "back", "src": "v1999", "dst": "v0"})
+    return doc
+
+
+@pytest.mark.parametrize("shape", ["edgeless25", "edgeless100000", "comb1000",
+                                   "aleph0_chain2000", "line2000",
+                                   "cycle2000"])
+def test_ideals_on_large_graphs_answers_or_refuses_promptly(tmp_path, shape):
+    doc = tmp_path / f"{shape}.json"
+    doc.write_text(json.dumps(_stress_doc(shape)))
+    t0 = time.perf_counter()
+    code, text = run_command(["ideals", "--graph", str(doc)])
+    assert time.perf_counter() - t0 < 5.0
+    assert code in (0, 3), text
+    assert "Traceback" not in text and "RecursionError" not in text
+    if shape == "edgeless25":  # 2**25 sets
+        assert text == "error: lattice exceeded 100000 elements"
+    if shape in ("line2000", "cycle2000"):
+        # saturation pulls the whole line in from its sink
+        assert "saturated hereditary vertex sets: 2" in text
+
+
+def test_dimension_past_the_int_string_limit_is_refused(tmp_path):
+    # 2**14999 paths into the sink: 4,516 digits, past the interpreter's
+    # default limit on converting an int to a string
+    doc = tmp_path / "chain.json"
+    doc.write_text(json.dumps(_chain_doc(15_000, "finite:2")))
+    for argv in (["classify"], ["classify", "--json"], ["ck"]):
+        code, text = run_command([*argv, "--graph", str(doc)])
+        assert code in (0, 3), (argv, text)
+        assert "Traceback" not in text
+    assert text == (f"error: model basis would hold more than "
+                    f"{BASIS_SIZE_BOUND} paths")
 
 
 def test_model_basis_past_the_bound_is_refused_before_it_is_built(tmp_path):
@@ -400,8 +468,7 @@ def test_model_basis_past_the_bound_is_refused_before_it_is_built(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    message = ("error: model basis would hold 3000001 paths, "
-               f"bound is {BASIS_SIZE_BOUND}")
+    message = f"error: model basis would hold more than {BASIS_SIZE_BOUND} paths"
     for argv in (["ck"], ["corner", "--vertex", "v"]):
         run = subprocess.run(
             [sys.executable, "-m", "graphck", *argv, "--graph", str(doc)],
@@ -425,6 +492,27 @@ def test_unwritable_output_path_is_a_document_error(tmp_path, argv):
     assert text.startswith(f"error: cannot write {out}: ")
     assert "No such file or directory" in text
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ck", "--family", "ladder2", "--depth", "16", "--export"],
+    ["ck", "--graph", str(GRAPH_DIR / "g1.json"), "--export"],
+    ["restrict", "--graph", str(GRAPH_DIR / "g1.json"), "--vertex", "v",
+     "--out"],
+    ["family", "ray", "--depth", "3", "--out"],
+], ids=["ck-family", "ck", "restrict", "family"])
+def test_missing_output_directory_is_refused_before_any_work(
+        tmp_path, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("work began before the output path was checked")
+
+    for name in ("load_graph_file", "builtin_family"):
+        monkeypatch.setattr(cli_io, name, no_work)
+    out = tmp_path / "missing" / "out.json"
+    code, text = run_command([*argv, str(out)])
+    assert code == 2
+    assert text == (f"error: cannot write {out}: [Errno 2] No such file or "
+                    f"directory: '{out.parent}'")
 
 
 def test_malformed_graph_file(tmp_path):

@@ -1,17 +1,20 @@
 # Hereditary/saturated sets, closures, and the induced ideal lattice.
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from graphck import (
+    ALEPH0,
     BoundExceededError,
     EdgeBundle,
     Graph,
     NotHereditaryError,
     UNCOUNTABLE,
     UnknownVertexError,
+    build_graph,
     downstream,
     enumerate_saturated_hereditary,
     finite,
@@ -19,12 +22,20 @@ from graphck import (
     is_hereditary,
     is_saturated,
     restrict_to,
-    saturate,
     saturated_hereditary_closure,
 )
+from graphck import ideal_lattice
 
 import helpers
-from helpers import diamond, g1, graph_of, graph_and_subset, line, two_sinks
+from helpers import (
+    diamond,
+    g1,
+    graph_of,
+    graph_and_subset,
+    line,
+    saturate,
+    two_sinks,
+)
 
 
 def brute_saturated_hereditary(g):
@@ -180,13 +191,43 @@ def test_enumerate_matches_powerset_filter_exhaustively():
             brute_saturated_hereditary(g), (n, arcs)
 
 
-def test_enumerate_respects_vertex_bound():
-    g = line(4)
-    with pytest.raises(BoundExceededError):
-        enumerate_saturated_hereditary(g, bound=3)
-    big = Graph([f"v{i}" for i in range(21)], [])
-    with pytest.raises(BoundExceededError):
-        enumerate_saturated_hereditary(big)  # default bound is 20
+def test_enumerate_matches_join_closure_and_powerset_oracles():
+    # mixed cardinalities give infinite emitters, which saturation never adds
+    rng = random.Random(41)
+    cards = (finite(1), finite(2), ALEPH0, UNCOUNTABLE)
+    cases = [build_graph(helpers.vertex_names(n),
+                         [EdgeBundle(f"e{i}", a, b, rng.choice(cards))
+                          for i, (a, b) in enumerate(arcs)])
+             for n, arcs in helpers.digraph_universe()]
+    cases += [helpers.random_graph(rng, max_vertices=12, max_bundles=24)
+              for _ in range(1_000)]
+    assert sum(g.all_bundles_finite() for g in cases) < len(cases) // 2
+    for g in cases:
+        got = enumerate_saturated_hereditary(g)
+        assert got == helpers.join_closure_lattice(g), g
+        assert got == brute_saturated_hereditary(g), g
+
+
+def test_enumerate_refuses_only_past_its_lattice_bounds(monkeypatch):
+    # no vertex-count guard: a 25-vertex line has two elements
+    assert enumerate_saturated_hereditary(line(25)) == \
+        [frozenset(), frozenset(line(25).vertices)]
+    edgeless = Graph([f"v{i}" for i in range(4)], [])  # 2**4 elements
+    assert len(enumerate_saturated_hereditary(edgeless)) == 16
+    # the work bound counts the vertices of every closure computed: an
+    # aleph0 chain of 8 vertices has 8 nested closures of 36 vertices in all
+    chain = [f"v{i}" for i in range(8)]
+    g = Graph(chain, [EdgeBundle(f"e{i}", a, b, ALEPH0)
+                      for i, (a, b) in enumerate(zip(chain, chain[1:]))])
+    assert len(enumerate_saturated_hereditary(g)) == 9
+    monkeypatch.setattr(ideal_lattice, "LATTICE_SIZE_BOUND", 15)
+    with pytest.raises(BoundExceededError,
+                       match="^lattice exceeded 15 elements$"):
+        enumerate_saturated_hereditary(edgeless)
+    monkeypatch.setattr(ideal_lattice, "LATTICE_WORK_BOUND", 35)
+    with pytest.raises(BoundExceededError,
+                       match="^lattice work exceeded 35 vertex entries$"):
+        enumerate_saturated_hereditary(g)
 
 
 def test_enumerate_empty_graph():
