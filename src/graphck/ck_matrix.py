@@ -16,18 +16,19 @@ has an exit (vacuous here: no cycles at all).
 All arithmetic is integer-exact; no float ever decides a dimension, and
 no matrix is ever multiplied: every generator is a partial permutation,
 stored as an ``IntMatrix`` and read as its col -> row map (``PathMaps``).
-A path operator composes its edges' maps.  The relations are checked
-once, on the maps, in time linear in their size; ``verify_ck`` reports
-them, and the dimension certificate (``_certified_rank``) and the stage
-embedding certificate (``bratteli.embed_check``) require them.  The
-certified rank is the sum over terminal vertices of the squared number of
-basis paths into each; no matrix unit S_a S_b* is formed at runtime.
+A model reads them once (``MatrixRep.maps``), with one relation pass in
+time linear in their size; ``verify_ck`` reports it, and the dimension
+certificate (``_certified_rank``) and the stage embedding certificate
+(``bratteli.embed_check``) require it.  A path operator composes its
+edges' maps.  The certified rank is the sum over terminal vertices of the
+squared number of basis paths into each; no unit S_a S_b* is formed.
 Elimination over every path-pair unit, and the relations as ``IntMatrix``
 products, are the test suite's oracles.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -100,7 +101,8 @@ def terminal_vertices(g: Graph, spec: RelativeSpec) -> list[str]:
 @dataclass
 class MatrixRep:
     """The assembled model: basis paths, one diagonal idempotent per vertex,
-    one partial permutation per edge."""
+    one partial permutation per edge.  Every check reads the generators'
+    one ``maps``, so a model is not edited after its first check."""
 
     graph: Graph
     spec: RelativeSpec
@@ -111,6 +113,10 @@ class MatrixRep:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def maps(self) -> "PathMaps":
+        return PathMaps(self)
 
 
 def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
@@ -155,12 +161,13 @@ def _generator_map(name: str, m: IntMatrix) -> dict[int, int]:
 
 
 class PathMaps:
-    """Col -> row maps of a model's path operators.
+    """Col -> row maps of a model's path operators, with the out-edges'
+    covers and the relation pass (``report``) read off them.
 
     Each generator's map is read once from its matrix, which must be a
     partial permutation.  A trivial path's map is its vertex projection's;
     any other path's map composes its edges' maps, memoised on the edge
-    tuple, so a path extends the map of its longest memoised prefix.
+    tuple, so a path extends the map of its longest memoised suffix.
     """
 
     def __init__(self, rep: MatrixRep):
@@ -168,22 +175,31 @@ class PathMaps:
                        for v, m in rep.vertex_projections.items()}
         self._edges = {(e,): _generator_map(f"s_{e}", m)
                        for e, m in rep.edge_isometries.items()}
+        self.covers = _covers(rep.graph, self.edge)
+        self.report = _relations(rep, self)
 
     def edge(self, e: str) -> dict[int, int]:
         return self._edges[(e,)]
+
+    def checked(self) -> "PathMaps":
+        """These maps, for a certificate that needs every relation: the
+        relation pass's first failure, if any, is raised instead."""
+        if self.report.failures:
+            raise InternalCheckError(self.report.failures[0])
+        return self
 
     def __call__(self, path: Path) -> dict[int, int]:
         if path.is_trivial:
             return self.vertex[path.source]
         edges, memo = path.edges, self._edges
-        k = len(edges)
-        while k > 1 and edges[:k] not in memo:
-            k -= 1
-        m = memo[edges[:k]]
-        for j in range(k, len(edges)):
-            last = memo[edges[j:j + 1]]
-            m = {c: m[r] for c, r in last.items() if r in m}
-            memo[edges[:j + 1]] = m
+        k = 0
+        while k < len(edges) - 1 and edges[k:] not in memo:
+            k += 1
+        m = memo[edges[k:]]
+        for j in reversed(range(k)):
+            first = memo[edges[j:j + 1]]
+            m = {c: first[r] for c, r in m.items() if r in first}
+            memo[edges[j:]] = m
         return m
 
 
@@ -266,9 +282,8 @@ def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
     failures += clashes
 
     ck3: dict[str, bool] = {}
-    covers = _covers(g, maps.edge)
     for v in regular_vertices(g):
-        covered, disjoint = covers[v]
+        covered, disjoint = maps.covers[v]
         held = diagonal[v] and disjoint and covered == vertex[v].keys()
         ck3[v] = held
         if held != (v in rep.spec.imposed):
@@ -284,16 +299,7 @@ def verify_ck(rep: MatrixRep) -> CkReport:
     edge ranges are mutually orthogonal; and, per regular vertex v,
     whether the out-edges' ranges cover p_v disjointly (the summation
     identity)."""
-    return _relations(rep, PathMaps(rep))
-
-
-def _checked_relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
-    """The relation pass, for a certificate that needs every relation:
-    its first failure, if any, is raised as ``InternalCheckError``."""
-    report = _relations(rep, maps)
-    if report.failures:
-        raise InternalCheckError(report.failures[0])
-    return report
+    return rep.maps.report
 
 
 @dataclass(frozen=True)
@@ -309,14 +315,13 @@ def gap_projections(rep: MatrixRep) -> dict[str, GapEntry]:
     lie disjointly in its support, and then it is the diagonal on the
     support's uncovered positions; with the path basis it is the rank-one
     projection onto the vertex's own trivial path."""
-    maps = PathMaps(rep)
-    covers = _covers(rep.graph, maps.edge)
+    maps = rep.maps
     out: dict[str, GapEntry] = {}
     for v in regular_vertices(rep.graph):
         if v in rep.spec.imposed:
             continue
         p = maps.vertex[v]
-        covered, disjoint = covers[v]
+        covered, disjoint = maps.covers[v]
         if not (_is_diagonal(p) and disjoint and covered <= p.keys()):
             raise RelativeSpecError(f"gap at {v} is not a projection")
         gap = p.keys() - covered
@@ -347,9 +352,7 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     sum of n_t squared, n_t the number of basis paths into t.  Cost:
     the size of the path maps; no pair is formed.
     """
-    g = rep.graph
-    maps = PathMaps(rep)
-    _checked_relations(rep, maps)
+    g, maps = rep.graph, rep.maps.checked()
     # positions of the basis's trivial paths, found in one scan: a
     # hand-built basis need not be sorted
     at = {p: i for i, p in enumerate(rep.basis) if not p.edges}

@@ -30,16 +30,15 @@ a bug, not a property of the graph.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
-    BoundExceededError,
     CyclicGraphError,
     EmptyGraphError,
     InfiniteBundleError,
     InternalCheckError,
+    decimal,
 )
 from .graph_model import (
     Graph,
@@ -189,30 +188,26 @@ def ladder_length(g: Graph) -> int:
     Computed from the doubled-reachability relation: pair (u, w) is doubled
     when at least two distinct paths run from u to w (path counts saturate
     at two during the DP).  On an acyclic graph that relation is itself
-    acyclic, and the answer is its longest chain, counted in steps.
+    acyclic, and the answer is its longest chain, counted in steps.  Taken
+    in reverse topological order, each source meets its doubled targets
+    with their chains known, so the relation is never stored.
     """
     if not g.all_bundles_finite():
         raise InfiniteBundleError("ladder length needs finite bundles")
     order = topological_order(g)  # raises CyclicGraphError on cycles
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    # capped path counts from each source, by reverse topological DP
-    doubled: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for src in order:
-        counts = {v: 0 for v in g.vertices}
-        counts[src] = 1
-        for v in order[pos[src]:]:
+    best = dict.fromkeys(g.vertices, 0)  # longest chain from each vertex
+    for i in reversed(range(len(order))):
+        # capped path counts from order[i], by a forward DP over the rest
+        counts = dict.fromkeys(order[i:], 0)
+        counts[order[i]] = 1
+        for v in order[i:]:
             c = counts[v]
             if not c:
                 continue
             for b in g.out_bundles(v):
                 counts[b.dst] = min(2, counts[b.dst] + c * b.cardinality.count)
-        doubled[src] = [w for w in g.vertices if w != src and counts[w] >= 2]
-    # longest chain in the doubled relation
-    best = {v: 0 for v in g.vertices}
-    for v in reversed(order):
-        for w in doubled[v]:
-            best[v] = max(best[v], 1 + best[w])
+        best[order[i]] = max((1 + best[w] for w in order[i + 1:]
+                              if counts[w] >= 2), default=0)
     return max(best.values(), default=0)
 
 
@@ -377,12 +372,7 @@ def _verdict_finite(g: Graph) -> Verdict:
         raise InternalCheckError(
             "a simple finite acyclic graph must have exactly one sink")
     dim = count_paths_ending(g)[dich.sink]
-    try:
-        shown = str(dim)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise BoundExceededError(
-            f"algebra dimension has more than {sys.get_int_max_str_digits()} "
-            "digits") from None
+    shown = decimal(dim, "algebra dimension")
     return Verdict(VerdictTag.UNIQUE_IRREP_COMPACTS, dimension=dim,
                    reason=f"one sink {dich.sink!r}; the algebra is the full "
                           f"matrix algebra on the {shown} paths into it",

@@ -63,6 +63,7 @@ from .errors import (
     GraphBuildError,
     InternalCheckError,
     PreconditionError,
+    decimal,
 )
 from .families import builtin_family, family_catalog
 from .graph_model import (
@@ -237,10 +238,10 @@ def _yesno(flag: bool) -> str:
 
 def _cmd_analyze(g: Graph, label: str) -> Report:
     r = Report("analyze", label)
-    total = (sum(b.cardinality.count for b in g.bundles)
-             if g.all_bundles_finite() else None)
+    total = (decimal(sum(b.cardinality.count for b in g.bundles), "edge count")
+             if g.all_bundles_finite() else "infinitely many")
     r.say(f"vertices: {len(g.vertices)}; edge bundles: {len(g.bundles)}; "
-          f"edges: {'infinitely many' if total is None else total}")
+          f"edges: {total}")
     rc = row_class(g)
     r.say(f"row class: {rc.value}")
     sk = sinks(g)
@@ -381,8 +382,7 @@ def _cmd_ck(g: Graph, label: str, relative: str, export_path: str | None) -> Rep
     else:
         r.say("no gap projections: the summation identity is imposed at "
               "every regular vertex")
-    projections_ok = all(not m.is_zero()
-                         for m in rep.vertex_projections.values())
+    projections_ok = all(rep.maps.vertex.values())
     if projections_ok and len(nonzero_gaps) == len(gaps):
         r.say("every vertex projection and every gap projection is nonzero, "
               "so this model is faithful on the relative algebra",
@@ -412,6 +412,7 @@ def _cmd_ck(g: Graph, label: str, relative: str, export_path: str | None) -> Rep
 
 def _cmd_corner(g: Graph, label: str, vertex: str) -> Report:
     r = Report("corner", label)
+    g.require_vertex(vertex)
     rep = build_ck_family(g, RelativeSpec.full(g))
     cs = corner(rep, vertex)
     r.say(f"corner at {vertex!r}: dimension {cs.dimension} "
@@ -446,9 +447,8 @@ def _cmd_bratteli(family_name: str, depth: int, verify_embedding: bool) -> Repor
     if verify_embedding:
         if depth < 2:
             raise ChainError("embedding check needs depth >= 2")
-        small = sg.stage(depth - 1)
         big = sg.stage(depth)
-        emb = embed_check(build_ck_family(small, RelativeSpec.full(small)),
+        emb = embed_check(sg.stage(depth - 1),
                           build_ck_family(big, RelativeSpec.full(big)))
         r.say(f"embedding of stage {depth - 1} into stage {depth}: "
               f"{'pass' if emb.ok else 'FAIL'} "

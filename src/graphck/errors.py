@@ -4,6 +4,8 @@ Two branches matter for the CLI: DocumentError (malformed input, exit 2)
 and PreconditionError (operation called outside its contract, exit 3).
 """
 
+import sys
+
 
 class GraphAlgebraError(Exception):
     """Base class for every error raised by this package."""
@@ -47,7 +49,16 @@ class NotHereditaryError(PreconditionError):
 
 class BoundExceededError(PreconditionError):
     """A size or work guard tripped (lattice elements, lattice work, model
-    basis paths, or a dimension too long to print)."""
+    basis paths, or a count too long to print)."""
+
+
+def decimal(n: int, what: str) -> str:
+    """``str(n)``, refused past the interpreter's digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise BoundExceededError(f"{what} has more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class StageError(PreconditionError):

@@ -46,9 +46,6 @@ class IntMatrix:
         """0/1 matrix sending basis vector ``col`` to basis vector ``row``."""
         return IntMatrix(dim, {(r, c): 1 for c, r in col_to_row.items()})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

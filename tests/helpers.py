@@ -378,17 +378,20 @@ def product_unit_vectors(rep, groups) -> list[dict[int, int]]:
     return out
 
 
-def product_embed_check(rep_small, rep_big) -> tuple[bool, int, list[str]]:
+def product_embed_check(small, rep_big) -> tuple[bool, int, list[str]]:
     """``embed_check``'s (ok, pairs_checked, failures) by IntMatrix sums of
-    products."""
+    products, over every pair of the smaller stage's paths into each of its
+    sinks; a failure line counts the pairs that fail at its vertex."""
     big = rep_big.graph
     by_target: dict[str, list[Path]] = {}
-    for p in rep_small.basis:
-        by_target.setdefault(p.target, []).append(p)
+    for p in enumerate_paths(small):
+        if small.is_sink(p.target):
+            by_target.setdefault(p.target, []).append(p)
     checked = 0
     failures = []
     for v, paths in sorted(by_target.items()):
         outs = [e for e in big.finite_edges() if e.src == v]
+        failed = 0
         for a in paths:
             for b in paths:
                 lhs = (product_path_matrix(rep_big, a)
@@ -400,8 +403,9 @@ def product_embed_check(rep_small, rep_big) -> tuple[bool, int, list[str]]:
                     rhs = rhs + (product_path_matrix(rep_big, ae)
                                  @ product_path_matrix(rep_big, be).transpose())
                 checked += 1
-                if lhs != rhs:
-                    failures.append(f"unit ({a.label()}, {b.label()}) at {v}")
+                failed += lhs != rhs
+        if failed:
+            failures.append(f"{failed} units at {v}")
     return not failures, checked, failures
 
 
@@ -435,13 +439,13 @@ def product_verify_ck(rep) -> CkReport:
     for i, v in enumerate(verts):
         pv = rep.vertex_projections[v]
         for w in verts[i + 1:]:
-            if not (pv @ rep.vertex_projections[w]).is_zero():
+            if (pv @ rep.vertex_projections[w]).entries:
                 mutual = False
                 failures.append(f"vertex projections {v}, {w} not orthogonal")
     ids = [e.id for e in edges]
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            if not (range_proj[a] @ range_proj[b]).is_zero():
+            if (range_proj[a] @ range_proj[b]).entries:
                 mutual = False
                 failures.append(f"edge ranges {a}, {b} not orthogonal")
 
@@ -473,7 +477,7 @@ def product_gap_projections(rep) -> dict[str, GapEntry]:
                 q = q - (s @ s.transpose())
         if q @ q != q:
             raise RelativeSpecError(f"gap at {v} is not a projection")
-        out[v] = GapEntry(q, not q.is_zero())
+        out[v] = GapEntry(q, bool(q.entries))
     return out
 
 

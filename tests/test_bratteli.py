@@ -27,6 +27,7 @@ from graphck import (
     tail_chain,
     verify_ck,
 )
+from graphck import cli_io
 from graphck.bratteli import CORNER, TAIL
 from graphck.ck_matrix import PathMaps
 
@@ -217,25 +218,23 @@ def rep_of(g, spec=None):
 
 def test_embed_check_ladder_stages():
     sg = ladder_family(2)
-    small = rep_of(sg.stage(3))
-    big = rep_of(sg.stage(4))
-    report = embed_check(small, big)
+    report = embed_check(sg.stage(3), rep_of(sg.stage(4)))
     assert report.ok
-    assert report.pairs_checked == 49  # 1+2+4 basis paths into w_3, squared
+    assert report.pairs_checked == 49  # 1+2+4 paths into w_3, squared
     assert report.failures == []
 
 
 def test_embed_check_ray_stages():
     sg = ray_family()
     for n in (2, 3, 4):
-        report = embed_check(rep_of(sg.stage(n)), rep_of(sg.stage(n + 1)))
+        report = embed_check(sg.stage(n), rep_of(sg.stage(n + 1)))
         assert report.ok
 
 
 def test_embed_check_requires_subgraph():
     sg = ladder_family(2)
     with pytest.raises(StageError):
-        embed_check(rep_of(sg.stage(4)), rep_of(sg.stage(3)))
+        embed_check(sg.stage(4), rep_of(sg.stage(3)))
 
 
 def test_embed_check_persistent_sink():
@@ -247,21 +246,23 @@ def test_embed_check_persistent_sink():
         return build_graph(vs, bs)
 
     sg = StagedGraph("side-growth", build)
-    report = embed_check(rep_of(sg.stage(0)), rep_of(sg.stage(1)))
+    report = embed_check(sg.stage(0), rep_of(sg.stage(1)))
     assert report.ok
 
 
 def test_embed_check_honest_failure():
-    # embedding a summation-exact model into a stage where the identity is
-    # dropped at the joint really fails, and the report says where
-    small_g = build_graph(["v", "w"], [EdgeBundle("e", "v", "w")])
+    # embedding a stage into one where the summation identity is dropped
+    # at the joint really fails, and the report says where: once for all
+    # four units of the paths w and e into w
+    small = build_graph(["v", "w"], [EdgeBundle("e", "v", "w")])
     big_g = build_graph(["v", "w", "x"], [EdgeBundle("e", "v", "w"),
                                           EdgeBundle("f", "w", "x")])
-    small = rep_of(small_g)  # summation identity imposed at v
     big = rep_of(big_g, RelativeSpec.toeplitz())
     report = embed_check(small, big)
     assert not report.ok
-    assert any("at w" in f for f in report.failures)
+    assert report.failures == ["4 units at w"]
+    assert (report.ok, report.pairs_checked, report.failures) == \
+        product_embed_check(small, big)
 
 
 @st.composite
@@ -278,14 +279,12 @@ def stage_pairs(draw):
 @settings(max_examples=100, deadline=None)
 @given(stage_pairs())
 def test_embed_check_matches_product_route(pair):
-    small_g, big_g = pair
-    for small_spec in (RelativeSpec.full(small_g), RelativeSpec.toeplitz()):
-        for big_spec in (RelativeSpec.full(big_g), RelativeSpec.toeplitz()):
-            small = build_ck_family(small_g, small_spec)
-            big = build_ck_family(big_g, big_spec)
-            report = embed_check(small, big)
-            assert (report.ok, report.pairs_checked, report.failures) == \
-                product_embed_check(small, big)
+    small, big_g = pair
+    for big_spec in (RelativeSpec.full(big_g), RelativeSpec.toeplitz()):
+        big = build_ck_family(big_g, big_spec)
+        report = embed_check(small, big)
+        assert (report.ok, report.pairs_checked, report.failures) == \
+            product_embed_check(small, big)
 
 
 # (family, deepest stage): every consecutive pair of full-spec stages up to
@@ -302,7 +301,7 @@ _EMBED_ORACLE_STAGES = (
                          ids=["ladder2", "ladder3", "forbidden_ladder", "ray"])
 def test_embed_check_matches_product_route_on_family_stages(sg, depth):
     for n in range(1, depth):
-        small, big = rep_of(sg.stage(n)), rep_of(sg.stage(n + 1))
+        small, big = sg.stage(n), rep_of(sg.stage(n + 1))
         report = embed_check(small, big)
         assert (report.ok, report.pairs_checked, report.failures) == \
             product_embed_check(small, big), n
@@ -334,7 +333,7 @@ def _twist_vertex_projection(rep):
 ], ids=["domain", "overlap", "diagonal"])
 def test_embed_check_refuses_a_tampered_bigger_model(tamper, expected):
     sg = ladder_family(2)
-    small, big = rep_of(sg.stage(3)), rep_of(sg.stage(4))
+    small, big = sg.stage(3), rep_of(sg.stage(4))
     tamper(big)
     assert all(m.is_partial_permutation()
                for m in [*big.vertex_projections.values(),
@@ -356,3 +355,20 @@ def test_deep_embedding_composes_no_path_and_forms_no_unit(monkeypatch):
                               "12", "--verify-embedding"])
     assert code == 0, text
     assert "pass (4190209 matrix units, exact)" in text
+
+
+def test_verify_embedding_builds_only_the_bigger_stage(monkeypatch):
+    built = []
+    build = cli_io.build_ck_family
+
+    def counted_build(g, spec):
+        built.append(len(g.vertices))
+        return build(g, spec)
+
+    monkeypatch.setattr(cli_io, "build_ck_family", counted_build)
+    code, text = run_command(["bratteli", "--family", "ladder2", "--depth",
+                              "6", "--verify-embedding"])
+    assert code == 0, text
+    # 1+2+4+8+16 paths into stage 5's sink, squared
+    assert "pass (961 matrix units, exact)" in text
+    assert built == [len(ladder_family(2).stage(6).vertices)]

@@ -38,7 +38,7 @@ from graphck import (
     verify_ck,
 )
 
-from graphck import cli_io
+from graphck import ck_matrix, cli_io
 from graphck.ck_matrix import MatrixRep, PathMaps
 
 import helpers
@@ -450,6 +450,31 @@ def test_relations_match_product_route_on_tampered_models(g, data):
         with pytest.raises(InternalCheckError) as ei:
             algebra_dimension(rep)
         assert str(ei.value) == report.failures[0]
+
+
+def test_ck_reads_each_generator_once_and_runs_one_relation_pass(
+        monkeypatch):
+    # verify_ck, gap_projections, the projection line and the dimension
+    # certificate all read the model's one PathMaps
+    calls = {"maps": 0, "relations": 0}
+    read, relations = IntMatrix.partial_permutation_map, ck_matrix._relations
+
+    def counted_read(self):
+        calls["maps"] += 1
+        return read(self)
+
+    def counted_relations(*args):
+        calls["relations"] += 1
+        return relations(*args)
+
+    monkeypatch.setattr(IntMatrix, "partial_permutation_map", counted_read)
+    monkeypatch.setattr(ck_matrix, "_relations", counted_relations)
+    g = ladder_family(2).stage(4)
+    code, text = run_command(["ck", "--family", "ladder2", "--depth", "4",
+                              "--relative", "all"])
+    assert code == 0, text
+    assert calls == {"maps": len(g.vertices) + len(g.finite_edges()),
+                     "relations": 1}
 
 
 def test_runtime_does_no_intmatrix_algebra(monkeypatch):

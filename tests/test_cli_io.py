@@ -457,6 +457,31 @@ def test_dimension_past_the_int_string_limit_is_refused(tmp_path):
                     f"{BASIS_SIZE_BOUND} paths")
 
 
+def test_analyze_refuses_an_unprintable_edge_count(tmp_path):
+    # two bundles of 4,300 nines: a 4,301-digit edge count
+    nines = "9" * 4300
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps(doc_of(edges=[
+        {"id": "e", "src": "v", "dst": "w", "cardinality": f"finite:{nines}"},
+        {"id": "f", "src": "v", "dst": "w", "cardinality": f"finite:{nines}"},
+    ])))
+    for argv in (["analyze"], ["analyze", "--json"]):
+        code, text = run_command([*argv, "--graph", str(doc)])
+        assert (code, text) == (
+            3, f"error: edge count has more than "
+               f"{sys.get_int_max_str_digits()} digits"), argv
+
+
+def test_corner_checks_its_vertex_before_building_the_model(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the model was built before --vertex was checked")
+
+    monkeypatch.setattr(cli_io, "build_ck_family", no_build)
+    code, text = run_command(["corner", "--family", "ladder2", "--depth",
+                              "18", "--vertex", "nope"])
+    assert (code, text) == (3, "error: unknown vertex 'nope'")
+
+
 def test_model_basis_past_the_bound_is_refused_before_it_is_built(tmp_path):
     # 3,000,001 basis paths do not fit in the 1 GiB the process is given
     doc = tmp_path / "wide.json"
