@@ -21,7 +21,7 @@ from collections import Counter
 from graphck import (
     EdgeBundle,
     build_graph,
-    is_simple,
+    has_cycle,
     naimark_verdict,
 )
 
@@ -32,24 +32,6 @@ def acyclic_arc_sets(n: int, max_arcs: int):
     for r in range(min(len(arcs), max_arcs) + 1):
         for combo in itertools.combinations(arcs, r):
             yield vs, combo
-
-
-def is_acyclic(vs, combo) -> bool:
-    indeg = {v: 0 for v in vs}
-    outs: dict[str, list[str]] = {v: [] for v in vs}
-    for a, b in combo:
-        outs[a].append(b)
-        indeg[b] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in outs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return seen == len(vs)
 
 
 def main() -> None:
@@ -68,14 +50,14 @@ def main() -> None:
     t0 = time.perf_counter()
     for n in range(1, args.vertices + 1):
         for vs, combo in acyclic_arc_sets(n, args.arcs):
-            if not is_acyclic(vs, combo):
-                continue
             g = build_graph(vs, [EdgeBundle(f"e{i}", a, b)
                                  for i, (a, b) in enumerate(combo)])
+            if has_cycle(g):
+                continue
             total += 1
-            if is_simple(g).simple:
-                simple_count += 1
             v = naimark_verdict(g)
+            if v.simplicity.simple:
+                simple_count += 1
             verdicts[v.tag.value] += 1
             if v.dimension is not None:
                 dims[v.dimension] += 1

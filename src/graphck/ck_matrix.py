@@ -14,16 +14,16 @@ model is a faithful copy of the relative algebra whenever every cycle
 has an exit (vacuous here: no cycles at all).
 
 All arithmetic is integer-exact; no float ever decides a dimension, and
-no matrix is ever multiplied: every generator is a partial permutation,
-stored as an ``IntMatrix`` and read as its col -> row map (``PathMaps``).
-A model reads them once (``MatrixRep.maps``), with one relation pass in
-time linear in their size; ``verify_ck`` reports it, and the dimension
-certificate (``_certified_rank``) and the stage embedding certificate
-(``bratteli.embed_check``) require it.  A path operator composes its
-edges' maps.  The certified rank is the sum over terminal vertices of the
-squared number of basis paths into each; no unit S_a S_b* is formed.
-Elimination over every path-pair unit, and the relations as ``IntMatrix``
-products, are the test suite's oracles.
+no matrix is ever multiplied.  A model stores each vertex projection as
+its support and each edge isometry as its col -> row map (a partial
+permutation), and reads them once (``MatrixRep.maps``), with one relation
+pass in time linear in their size: ``verify_ck`` reports it, and the gaps,
+the dimension certificate (``_certified_rank``) and the stage embedding
+certificate (``bratteli.embed_check``) require it.  A path operator
+composes its edges' maps.  The certified rank is the sum over terminal
+vertices of the squared number of basis paths into each; no unit S_a S_b*
+is formed.  ``IntMatrix`` is a view for outside readers; elimination over
+every path-pair unit, and the relations as its products, are test oracles.
 """
 
 from __future__ import annotations
@@ -100,15 +100,16 @@ def terminal_vertices(g: Graph, spec: RelativeSpec) -> list[str]:
 
 @dataclass
 class MatrixRep:
-    """The assembled model: basis paths, one diagonal idempotent per vertex,
-    one partial permutation per edge.  Every check reads the generators'
-    one ``maps``, so a model is not edited after its first check."""
+    """The assembled model: basis paths, each vertex's support, each edge's
+    col -> row map.  Every check reads the generators' one ``maps``, so a
+    model is not edited after its first check.  ``vertex_projections`` and
+    ``edge_isometries`` are ``IntMatrix`` views, built on first access."""
 
     graph: Graph
     spec: RelativeSpec
     basis: tuple[Path, ...]
-    vertex_projections: dict[str, IntMatrix]
-    edge_isometries: dict[str, IntMatrix]
+    supports: dict[str, frozenset[int]]
+    edge_maps: dict[str, dict[int, int]]
 
     @property
     def dim(self) -> int:
@@ -117,6 +118,16 @@ class MatrixRep:
     @functools.cached_property
     def maps(self) -> "PathMaps":
         return PathMaps(self)
+
+    @functools.cached_property
+    def vertex_projections(self) -> dict[str, IntMatrix]:
+        return {v: IntMatrix.from_diag(sorted(s), self.dim)
+                for v, s in self.supports.items()}
+
+    @functools.cached_property
+    def edge_isometries(self) -> dict[str, IntMatrix]:
+        return {e: IntMatrix.from_partial_perm(m, self.dim)
+                for e, m in self.edge_maps.items()}
 
 
 def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
@@ -145,36 +156,31 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
         by_source[a.source].append(j)
         if e is not None:
             col_to_row[e][position[tail]] = j
-    return MatrixRep(
-        g, spec, tuple(grown[i][0] for i in order),
-        {v: IntMatrix.from_diag(idxs, size) for v, idxs in by_source.items()},
-        {e: IntMatrix.from_partial_perm(m, size) for e, m in col_to_row.items()})
+    return MatrixRep(g, spec, tuple(grown[i][0] for i in order),
+                     {v: frozenset(idxs) for v, idxs in by_source.items()},
+                     col_to_row)
 
 
-# --- generator maps ---------------------------------------------------------
-
-def _generator_map(name: str, m: IntMatrix) -> dict[int, int]:
-    cols = m.partial_permutation_map()
-    if cols is None:
-        raise InternalCheckError(f"generator {name} is not a partial permutation")
-    return cols
+# --- path maps --------------------------------------------------------------
 
 
 class PathMaps:
     """Col -> row maps of a model's path operators, with the out-edges'
     covers and the relation pass (``report``) read off them.
 
-    Each generator's map is read once from its matrix, which must be a
-    partial permutation.  A trivial path's map is its vertex projection's;
-    any other path's map composes its edges' maps, memoised on the edge
-    tuple, so a path extends the map of its longest memoised suffix.
+    Each edge's map is the model's own and must be injective.  A trivial
+    path's map is the identity on its vertex's support; any other path's
+    map composes its edges' maps, memoised on the edge tuple, so a path
+    extends the map of its longest memoised suffix.
     """
 
     def __init__(self, rep: MatrixRep):
-        self.vertex = {v: _generator_map(f"p_{v}", m)
-                       for v, m in rep.vertex_projections.items()}
-        self._edges = {(e,): _generator_map(f"s_{e}", m)
-                       for e, m in rep.edge_isometries.items()}
+        for e, m in rep.edge_maps.items():
+            if len(set(m.values())) != len(m):
+                raise InternalCheckError(
+                    f"generator s_{e} is not a partial permutation")
+        self.support = rep.supports
+        self._edges = {(e,): m for e, m in rep.edge_maps.items()}
         self.covers = _covers(rep.graph, self.edge)
         self.report = _relations(rep, self)
 
@@ -190,7 +196,7 @@ class PathMaps:
 
     def __call__(self, path: Path) -> dict[int, int]:
         if path.is_trivial:
-            return self.vertex[path.source]
+            return {i: i for i in self.support[path.source]}
         edges, memo = path.edges, self._edges
         k = 0
         while k < len(edges) - 1 and edges[k:] not in memo:
@@ -224,10 +230,6 @@ class CkReport:
         return self.ck1 and self.ck2 and self.mutual_orthogonality
 
 
-def _is_diagonal(m: dict[int, int]) -> bool:
-    return list(m) == list(m.values())
-
-
 def _covers(g: Graph, edge_map) -> dict[str, tuple[set[int], bool]]:
     """Per vertex, the union of its out-edges' ranges and whether those
     are pairwise disjoint (their sizes add up to the union's size)."""
@@ -256,27 +258,23 @@ def _meeting_pairs(names: list[str], domains: list, ranges: list
 
 def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
     g = rep.graph
-    vertex, edges = maps.vertex, g.finite_edges()
-    diagonal = {v: _is_diagonal(vertex[v]) for v in g.vertices}
-    failures = [f"vertex projection p_{v} is not diagonal"
-                for v in g.vertices if not diagonal[v]]
+    support, edges = maps.support, g.finite_edges()
+    failures = []
     ck1_ok = ck2_ok = True
     for e in edges:
         m = maps.edge(e.id)
-        if not (diagonal[e.dst] and m.keys() == vertex[e.dst].keys()):
+        if m.keys() != support[e.dst]:
             ck1_ok = False
             failures.append(f"ck1 fails at edge {e.id}")
-        rows = list(m.values())
-        if list(map(vertex[e.src].get, rows)) != rows:
+        if not support[e.src].issuperset(m.values()):
             ck2_ok = False
             failures.append(f"ck2 fails at edge {e.id}")
 
     ids = [e.id for e in edges]
     ranges = [maps.edge(a).values() for a in ids]
+    supports = [support[v] for v in g.vertices]
     clashes = [f"vertex projections {v}, {w} not orthogonal"
-               for v, w in _meeting_pairs(
-                   g.vertices, [vertex[v] for v in g.vertices],
-                   [vertex[v].values() for v in g.vertices])]
+               for v, w in _meeting_pairs(g.vertices, supports, supports)]
     clashes += [f"edge ranges {a}, {b} not orthogonal"
                 for a, b in _meeting_pairs(ids, ranges, ranges)]
     failures += clashes
@@ -284,7 +282,7 @@ def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
     ck3: dict[str, bool] = {}
     for v in regular_vertices(g):
         covered, disjoint = maps.covers[v]
-        held = diagonal[v] and disjoint and covered == vertex[v].keys()
+        held = disjoint and covered == support[v]
         ck3[v] = held
         if held != (v in rep.spec.imposed):
             failures.append(
@@ -294,39 +292,40 @@ def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
 
 def verify_ck(rep: MatrixRep) -> CkReport:
     """Check every Cuntz-Krieger identity exactly, on the generators'
-    maps: each p_v is diagonal; s_e* s_e = p_r(e) (domain = support);
-    s_e s_e* <= p_s(e) (range within the support); vertex projections and
-    edge ranges are mutually orthogonal; and, per regular vertex v,
-    whether the out-edges' ranges cover p_v disjointly (the summation
-    identity)."""
+    maps: s_e* s_e = p_r(e) (domain = support); s_e s_e* <= p_s(e) (range
+    within the support); vertex projections and edge ranges are mutually
+    orthogonal; and, per regular vertex v, whether the out-edges' ranges
+    cover p_v disjointly (the summation identity)."""
     return rep.maps.report
 
 
 @dataclass(frozen=True)
 class GapEntry:
-    matrix: IntMatrix
-    nonzero: bool
+    """A gap projection, stored as the basis positions it covers;
+    ``matrix`` is its ``IntMatrix`` view, built on first access."""
+
+    positions: frozenset[int]
+    dim: int
+
+    @property
+    def nonzero(self) -> bool:
+        return bool(self.positions)
+
+    @functools.cached_property
+    def matrix(self) -> IntMatrix:
+        return IntMatrix.from_diag(sorted(self.positions), self.dim)
 
 
 def gap_projections(rep: MatrixRep) -> dict[str, GapEntry]:
     """The defect of the summation identity at each regular vertex outside
-    the imposed set: p_v minus its out-edges' range projections.  That is
-    a projection exactly when p_v is diagonal and the out-edges' ranges
-    lie disjointly in its support, and then it is the diagonal on the
-    support's uncovered positions; with the path basis it is the rank-one
-    projection onto the vertex's own trivial path."""
-    maps = rep.maps
-    out: dict[str, GapEntry] = {}
-    for v in regular_vertices(rep.graph):
-        if v in rep.spec.imposed:
-            continue
-        p = maps.vertex[v]
-        covered, disjoint = maps.covers[v]
-        if not (_is_diagonal(p) and disjoint and covered <= p.keys()):
-            raise RelativeSpecError(f"gap at {v} is not a projection")
-        gap = p.keys() - covered
-        out[v] = GapEntry(IntMatrix.from_diag(gap, rep.dim), bool(gap))
-    return out
+    the imposed set: p_v minus its out-edges' range projections.  The
+    relation pass must find no failure; then the ranges lie disjointly in
+    p_v's support, and the gap is the diagonal on the support's uncovered
+    positions.  With the path basis it is the rank-one projection onto
+    the vertex's own trivial path."""
+    maps = rep.maps.checked()
+    return {v: GapEntry(maps.support[v] - maps.covers[v][0], rep.dim)
+            for v in regular_vertices(rep.graph) if v not in rep.spec.imposed}
 
 
 # --- dimensions, blocks, corners -------------------------------------------
@@ -337,12 +336,11 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     range (and both starting at ``source``, unless it is None).
 
     Upper bound: the relation pass (``verify_ck``'s) must find no failure.
-    Then each p_v is diagonal, s_e* s_e = p_r(e) for every edge, and
-    p_v = sum of s_e s_e* over the edges out of each imposed vertex v, so
-    S_a S_b* = S_a p_v S_b* = sum_e S_ae S_be* whenever a and b share the
-    imposed range v.  The graph is acyclic, so repeating this ends in
-    pairs with a terminal range, which are pairs of basis paths: their
-    units span every unit.
+    Then s_e* s_e = p_r(e) for every edge, and p_v = sum of s_e s_e* over
+    the edges out of each imposed vertex v, so S_a S_b* = S_a p_v S_b* =
+    sum_e S_ae S_be* whenever a and b share the imposed range v.  The graph
+    is acyclic, so repeating this ends in pairs with a terminal range,
+    which are pairs of basis paths: their units span every unit.
 
     Lower bound: every basis path a into t sends the trivial path at t to
     a itself, as its least row, so (index a, index b) is the least
@@ -443,6 +441,8 @@ def export_model(rep: MatrixRep) -> dict:
     generator."""
     return {
         "basis": [p.label() for p in rep.basis],
-        "p": {v: m.to_triples() for v, m in sorted(rep.vertex_projections.items())},
-        "s": {e: m.to_triples() for e, m in sorted(rep.edge_isometries.items())},
+        "p": {v: [[i, i, 1] for i in sorted(s)]
+              for v, s in sorted(rep.supports.items())},
+        "s": {e: sorted([r, c, 1] for c, r in m.items())
+              for e, m in sorted(rep.edge_maps.items())},
     }

@@ -2,12 +2,11 @@
 
 Everything here is integer arithmetic; rank uses fraction-free elimination
 (cross-multiplication with gcd reduction), so no floating point ever enters
-it.  ``IntMatrix`` is the stored and exported form of a model's
-generators; the package itself never adds, subtracts or multiplies one.
-Relations, gaps, dimensions, corners and embedding checks read the
-partial-permutation generators' col -> row maps instead (see
-``ck_matrix.PathMaps``).  The matrix algebra below, and ``exact_rank``
-over every path-pair unit, serve the tests' oracle routes.
+it.  A model stores its generators as supports and col -> row maps, and
+every check reads those (see ``ck_matrix.PathMaps``); ``IntMatrix`` is
+only the view of them that ``MatrixRep`` builds on first access for
+outside readers, and no command builds one.  The matrix algebra below,
+and ``exact_rank`` over every path-pair unit, serve the tests' oracles.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ from graphck import (
     EdgeBundle,
     Graph,
     GraphBuildError,
+    InternalCheckError,
     IntMatrix,
     NotHereditaryError,
     Path,
     RelativeSpec,
-    RelativeSpecError,
     build_graph,
     enumerate_paths,
     exact_rank,
@@ -330,23 +330,21 @@ def enumerated_ck_family(g: Graph, spec: RelativeSpec,
     """Assemble the model for a finite acyclic graph with finite bundles."""
     basis = path_basis(g, spec, all_paths)
     index: dict[Path, int] = {p: i for i, p in enumerate(basis)}
-    dim = len(basis)
 
     by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
     for i, p in enumerate(basis):
         by_source[p.source].append(i)
-    projections = {v: IntMatrix.from_diag(idxs, dim)
-                   for v, idxs in by_source.items()}
-
-    isometries: dict[str, IntMatrix] = {}
+    edge_maps: dict[str, dict[int, int]] = {}
     for e in g.finite_edges():
         col_to_row: dict[int, int] = {}
         for i in by_source[e.dst]:
             tail = basis[i]
             extended = Path(e.src, tail.target, (e.id,) + tail.edges)
             col_to_row[i] = index[extended]
-        isometries[e.id] = IntMatrix.from_partial_perm(col_to_row, dim)
-    return MatrixRep(g, spec, tuple(basis), projections, isometries)
+        edge_maps[e.id] = col_to_row
+    return MatrixRep(g, spec, tuple(basis),
+                     {v: frozenset(idxs) for v, idxs in by_source.items()},
+                     edge_maps)
 
 
 # --- general-product model oracles ---------------------------------------------------
@@ -410,14 +408,10 @@ def product_embed_check(small, rep_big) -> tuple[bool, int, list[str]]:
 
 
 def product_verify_ck(rep) -> CkReport:
-    """``verify_ck`` by honest matrix arithmetic: every identity as an
-    IntMatrix product, O(V^2 + E^2) of them."""
+    """``verify_ck`` by honest matrix arithmetic on the model's IntMatrix
+    views: every identity as a product, O(V^2 + E^2) of them."""
     g = rep.graph
     failures: list[str] = []
-    for v in g.vertices:
-        p = rep.vertex_projections[v]
-        if not (p.transpose() == p and p @ p == p):
-            failures.append(f"vertex projection p_{v} is not diagonal")
     edges = g.finite_edges()
     range_proj: dict[str, IntMatrix] = {}
 
@@ -464,8 +458,13 @@ def product_verify_ck(rep) -> CkReport:
 
 
 def product_gap_projections(rep) -> dict[str, GapEntry]:
-    """``gap_projections`` by IntMatrix differences of products."""
+    """``gap_projections`` by IntMatrix differences of products: the first
+    failure of ``product_verify_ck``, if any, is raised instead, and each
+    gap must be the diagonal on the positions it covers."""
     g = rep.graph
+    failures = product_verify_ck(rep).failures
+    if failures:
+        raise InternalCheckError(failures[0])
     out: dict[str, GapEntry] = {}
     for v in regular_vertices(g):
         if v in rep.spec.imposed:
@@ -475,9 +474,8 @@ def product_gap_projections(rep) -> dict[str, GapEntry]:
             if e.src == v:
                 s = rep.edge_isometries[e.id]
                 q = q - (s @ s.transpose())
-        if q @ q != q:
-            raise RelativeSpecError(f"gap at {v} is not a projection")
-        out[v] = GapEntry(q, bool(q.entries))
+        out[v] = GapEntry(frozenset(r for r, _ in q.entries), rep.dim)
+        assert out[v].matrix == q, f"gap at {v} is not a projection"
     return out
 
 

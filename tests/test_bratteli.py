@@ -9,7 +9,6 @@ from graphck import (
     ChainError,
     EdgeBundle,
     InternalCheckError,
-    IntMatrix,
     RelativeSpec,
     SpineError,
     StageError,
@@ -307,37 +306,32 @@ def test_embed_check_matches_product_route_on_family_stages(sg, depth):
             product_embed_check(small, big), n
 
 
-# each tamper keeps every generator of ladder2's stage-4 model a partial
-# permutation but breaks one relation the certificate rests on
+# each tamper keeps every edge map of ladder2's stage-4 model injective
+# but breaks one relation the certificate rests on
 
 
 def _empty_edge_domain(rep):
-    rep.edge_isometries["e_2"] = IntMatrix.zero(rep.dim)
+    rep.edge_maps["e_2"] = {}
 
 
 def _overlap_out_ranges(rep):
-    rep.edge_isometries["f_2"] = IntMatrix.from_partial_perm(
-        PathMaps(rep).edge("e_2"), rep.dim)
+    rep.edge_maps["f_2"] = dict(rep.edge_maps["e_2"])
 
 
-def _twist_vertex_projection(rep):
-    i, j, *_ = PathMaps(rep).vertex["w_3"]
-    rep.vertex_projections["w_3"] = IntMatrix.from_partial_perm(
-        {i: j, j: i}, rep.dim)
+def _widen_vertex_projection(rep):
+    rep.supports["w_1"] = rep.supports["w_1"] | rep.supports["w_2"]
 
 
 @pytest.mark.parametrize("tamper, expected", [
     (_empty_edge_domain, "ck1 fails at edge e_2"),
     (_overlap_out_ranges, "edge ranges e_2, f_2 not orthogonal"),
-    (_twist_vertex_projection, "vertex projection p_w_3 is not diagonal"),
-], ids=["domain", "overlap", "diagonal"])
+    (_widen_vertex_projection, "vertex projections w_1, w_2 not orthogonal"),
+], ids=["domain", "overlap", "support"])
 def test_embed_check_refuses_a_tampered_bigger_model(tamper, expected):
     sg = ladder_family(2)
     small, big = sg.stage(3), rep_of(sg.stage(4))
     tamper(big)
-    assert all(m.is_partial_permutation()
-               for m in [*big.vertex_projections.values(),
-                         *big.edge_isometries.values()])
+    assert all(len(set(m.values())) == len(m) for m in big.edge_maps.values())
     assert verify_ck(big).failures[0] == expected
     with pytest.raises(InternalCheckError) as ei:
         embed_check(small, big)

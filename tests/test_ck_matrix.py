@@ -105,7 +105,13 @@ def _assert_builders_agree(g, spec, paths=None):
     rep = build_ck_family(g, spec)
     enumerated = helpers.enumerated_ck_family(g, spec, paths)
     assert rep.basis == enumerated.basis
-    assert export_model(rep) == export_model(enumerated)
+    doc = export_model(rep)
+    assert doc == export_model(enumerated)
+    # the triples of the IntMatrix views: the route export_model replaced
+    assert doc["p"] == {v: m.to_triples()
+                        for v, m in enumerated.vertex_projections.items()}
+    assert doc["s"] == {e: m.to_triples()
+                        for e, m in enumerated.edge_isometries.items()}
 
 
 def test_grown_model_matches_enumerated_builder_on_universe_slice():
@@ -156,6 +162,8 @@ def test_g1_full_model_matrices():
     rep = build_ck_family(g, RelativeSpec.full(g))
     # basis [w, e]; the edge maps the sink's trivial path to the edge path
     assert rep.dim == 2
+    assert rep.supports == {"w": {0}, "v": {1}}
+    assert rep.edge_maps == {"e": {0: 1}}
     assert rep.vertex_projections["w"].entries == {(0, 0): 1}
     assert rep.vertex_projections["v"].entries == {(1, 1): 1}
     assert rep.edge_isometries["e"].entries == {(1, 0): 1}
@@ -168,6 +176,7 @@ def test_g1_toeplitz_gap():
     assert set(gaps) == {"v"}
     assert gaps["v"].nonzero
     i_v = rep.basis.index(Path.trivial(g, "v"))
+    assert gaps["v"].positions == {i_v}
     assert gaps["v"].matrix.entries == {(i_v, i_v): 1}
 
 
@@ -207,21 +216,19 @@ def test_verify_ck_passes_on_fixtures():
 def test_verify_ck_detects_sabotage():
     g = g1()
     rep = build_ck_family(g, RelativeSpec.full(g))
-    rep.edge_isometries["e"] = IntMatrix.zero(rep.dim)
+    rep.edge_maps["e"] = {}
     report = verify_ck(rep)
     assert not report.ck1
     assert any("ck1" in f for f in report.failures)
 
 
-def test_vertex_projection_that_is_not_diagonal_fails():
-    # two isolated vertices, p_a sending a's index to b's: a partial
-    # permutation orthogonal to p_b, and every other relation holds
+def test_vertex_projections_that_overlap_fail():
+    # two isolated vertices, a's support widened to hold b's index: every
+    # other relation holds
     g = Graph(["a", "b"], [])
     rep = build_ck_family(g, RelativeSpec.toeplitz())
-    i_a, i_b = (rep.basis.index(Path.trivial(g, v)) for v in ("a", "b"))
-    rep.vertex_projections["a"] = IntMatrix.from_partial_perm({i_a: i_b},
-                                                              rep.dim)
-    message = "vertex projection p_a is not diagonal"
+    rep.supports["a"] = frozenset(range(rep.dim))
+    message = "vertex projections a, b not orthogonal"
     report = verify_ck(rep)
     assert report.failures == [message]
     assert report == product_verify_ck(rep)
@@ -312,6 +319,11 @@ def test_export_model_shape():
     assert doc["p"]["w"] == [[0, 0, 1]]
     assert doc["p"]["v"] == [[1, 1, 1]]
     assert doc["s"]["e"] == [[1, 0, 1]]
+    # the triples are sorted, whatever order a map was filled in
+    rep = build_ck_family(line(3), RelativeSpec.toeplitz())
+    doc = export_model(rep)
+    rep.edge_maps["e0"] = dict(reversed(rep.edge_maps["e0"].items()))
+    assert export_model(rep) == doc
 
 
 def test_export_model_slot_named_edges():
@@ -389,12 +401,15 @@ def test_corner_matches_product_route_at_every_vertex(g):
 
 
 def test_generator_that_is_not_a_partial_permutation_is_refused():
+    # a second column sent to s_e1's one row: the map is not injective
     g = line(3)
     rep = build_ck_family(g, RelativeSpec.full(g))
-    (pos, _), *_ = sorted(rep.edge_isometries["e1"].entries.items())
-    rep.edge_isometries["e1"].entries[pos] = 2
-    with pytest.raises(InternalCheckError, match="s_e1"):
+    m = rep.edge_maps["e1"]
+    (col, row), = m.items()
+    m[(col + 1) % rep.dim] = row
+    with pytest.raises(InternalCheckError) as ei:
         algebra_dimension(rep)
+    assert str(ei.value) == "generator s_e1 is not a partial permutation"
 
 
 # --- relations in map form against the product route -------------------------------
@@ -403,7 +418,7 @@ def test_generator_that_is_not_a_partial_permutation_is_refused():
 def _gaps_or_error(route, rep):
     try:
         return route(rep)
-    except RelativeSpecError as exc:
+    except InternalCheckError as exc:
         return str(exc)
 
 
@@ -439,12 +454,16 @@ def test_relations_match_product_route_on_tampered_models(g, data):
     regs = regular_vertices(g)
     imposed = data.draw(st.sets(st.sampled_from(regs))) if regs else set()
     rep = build_ck_family(g, RelativeSpec.of(imposed))
-    generators = ([(rep.vertex_projections, v) for v in rep.vertex_projections]
-                  + [(rep.edge_isometries, e) for e in rep.edge_isometries])
+    # the tamper comes before the first check or view: both read it
+    generators = ([(rep.supports, v) for v in rep.supports]
+                  + [(rep.edge_maps, e) for e in rep.edge_maps])
     family, name = data.draw(st.sampled_from(generators))
     cols = sorted(data.draw(st.sets(st.integers(0, rep.dim - 1))))
-    rows = data.draw(st.permutations(range(rep.dim)))
-    family[name] = IntMatrix.from_partial_perm(dict(zip(cols, rows)), rep.dim)
+    if family is rep.supports:
+        family[name] = frozenset(cols)
+    else:
+        rows = data.draw(st.permutations(range(rep.dim)))
+        family[name] = dict(zip(cols, rows))
     report = _assert_routes_agree(rep)
     if report.failures:
         with pytest.raises(InternalCheckError) as ei:
@@ -453,28 +472,51 @@ def test_relations_match_product_route_on_tampered_models(g, data):
 
 
 def test_ck_reads_each_generator_once_and_runs_one_relation_pass(
-        monkeypatch):
-    # verify_ck, gap_projections, the projection line and the dimension
-    # certificate all read the model's one PathMaps
-    calls = {"maps": 0, "relations": 0}
-    read, relations = IntMatrix.partial_permutation_map, ck_matrix._relations
-
-    def counted_read(self):
-        calls["maps"] += 1
-        return read(self)
+        monkeypatch, tmp_path):
+    # each model command reads its model's one PathMaps, once, and builds
+    # no IntMatrix: the stored supports and maps are what every check reads
+    calls = {"relations": 0, "matrices": 0}
+    relations, init = ck_matrix._relations, IntMatrix.__init__
 
     def counted_relations(*args):
         calls["relations"] += 1
         return relations(*args)
 
-    monkeypatch.setattr(IntMatrix, "partial_permutation_map", counted_read)
+    def counted_init(self, *args, **kwargs):
+        calls["matrices"] += 1
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(ck_matrix, "_relations", counted_relations)
+    monkeypatch.setattr(IntMatrix, "__init__", counted_init)
+    stage = ["--family", "ladder2", "--depth", "6"]
+    export = ["--export", str(tmp_path / "m.json")]
+    for argv in (["ck", *stage, "--relative", "all"],
+                 ["ck", *stage, "--relative", "none"],
+                 ["ck", *stage, "--relative", "w_1,w_3"],
+                 ["ck", *stage, "--relative", "all", *export],
+                 ["ck", *stage, "--relative", "none", *export],
+                 ["ck", *stage, "--relative", "w_1,w_3", *export],
+                 ["corner", *stage, "--vertex", "w_1"],
+                 ["bratteli", *stage, "--verify-embedding"]):
+        calls.update(relations=0, matrices=0)
+        code, text = run_command(argv)
+        assert code == 0, (argv, text)
+        assert calls == {"relations": 1, "matrices": 0}, argv
+
+
+def test_model_views_are_cached_and_match_the_maps():
     g = ladder_family(2).stage(4)
-    code, text = run_command(["ck", "--family", "ladder2", "--depth", "4",
-                              "--relative", "all"])
-    assert code == 0, text
-    assert calls == {"maps": len(g.vertices) + len(g.finite_edges()),
-                     "relations": 1}
+    rep = build_ck_family(g, RelativeSpec.toeplitz())
+    assert rep.vertex_projections is rep.vertex_projections
+    assert rep.edge_isometries is rep.edge_isometries
+    assert rep.vertex_projections == {
+        v: IntMatrix.from_diag(s, rep.dim) for v, s in rep.supports.items()}
+    assert rep.edge_isometries == {
+        e: IntMatrix.from_partial_perm(m, rep.dim)
+        for e, m in rep.edge_maps.items()}
+    for gap in gap_projections(rep).values():
+        assert gap.matrix is gap.matrix
+        assert gap.matrix == IntMatrix.from_diag(gap.positions, rep.dim)
 
 
 def test_runtime_does_no_intmatrix_algebra(monkeypatch):
@@ -532,19 +574,19 @@ def _parallel_pair() -> Graph:
 
 
 def _drop_edge_entry(rep):
-    rep.edge_isometries["e"].entries.clear()
+    rep.edge_maps["e"].clear()
 
 
 def _overlap_ranges(rep):
-    rep.edge_isometries["e#1"].entries = {(1, 0): 1}
+    rep.edge_maps["e#1"] = {0: 1}
 
 
 def _miss_part_of_pv(rep):
-    rep.edge_isometries["e#1"].entries = {(0, 0): 1}
+    rep.edge_maps["e#1"] = {0: 0}
 
 
-def _twist_projection(rep):
-    rep.vertex_projections["v"].entries = {(1, 2): 1, (2, 1): 1}
+def _widen_projection(rep):
+    rep.supports["v"] = frozenset({0, 1, 2})
 
 
 # the Toeplitz basis of line(3) is v0, v1, v2, e0, e1, e0.e1, and s_e0
@@ -552,11 +594,11 @@ def _twist_projection(rep):
 
 
 def _swap_isometry_rows(rep):
-    rep.edge_isometries["e0"].entries = {(5, 1): 1, (3, 4): 1}
+    rep.edge_maps["e0"] = {1: 5, 4: 3}
 
 
 def _lower_a_row(rep):
-    rep.edge_isometries["e0"].entries = {(3, 1): 1, (0, 4): 1}
+    rep.edge_maps["e0"] = {1: 3, 4: 0}
 
 
 _TAMPERED = [
@@ -564,8 +606,8 @@ _TAMPERED = [
     (_parallel_pair, "all", _overlap_ranges,
      "edge ranges e#0, e#1 not orthogonal"),
     (_parallel_pair, "all", _miss_part_of_pv, "ck2 fails at edge e#1"),
-    (_parallel_pair, "all", _twist_projection,
-     "vertex projection p_v is not diagonal"),
+    (_parallel_pair, "all", _widen_projection,
+     "vertex projections v, w not orthogonal"),
     (lambda: line(3), "none", _swap_isometry_rows,
      "path e0 does not send v1 to itself as its least row"),
     (lambda: line(3), "none", _lower_a_row,
@@ -573,7 +615,7 @@ _TAMPERED = [
 ]
 
 
-_TAMPERED_IDS = ["domain", "overlap", "cover", "diagonal", "lead", "least_row"]
+_TAMPERED_IDS = ["domain", "overlap", "cover", "support", "lead", "least_row"]
 
 
 def _tampered(make, relative, tamper):
@@ -596,8 +638,7 @@ def test_tampered_model_fails_the_same_relations_on_both_routes(
 def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
                                               tmp_path, monkeypatch):
     g, rep = _tampered(make, relative, tamper)
-    assert all(m.is_partial_permutation()
-               for m in rep.edge_isometries.values())
+    assert all(len(set(m.values())) == len(m) for m in rep.edge_maps.values())
     with pytest.raises(InternalCheckError) as ei:
         algebra_dimension(rep)
     assert str(ei.value) == message
@@ -618,6 +659,33 @@ def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
     assert (code, text) == (4, f"error: internal check failed: {message}")
 
 
+@pytest.mark.parametrize("make", [g1, diamond, lambda: ladder_family(2).stage(3),
+                                  lambda: Graph(["u", "v", "w"],
+                                                [EdgeBundle("e", "v", "w")])],
+                         ids=["g1", "diamond", "ladder2", "isolated"])
+@pytest.mark.parametrize("relative", ["all", "none"])
+def test_ck_exits_4_when_a_vertex_projection_is_zero(make, relative, tmp_path,
+                                                    monkeypatch):
+    # ck's "every vertex projection ... is nonzero" line rests on the
+    # relation pass and the dimension certificate: emptying any vertex's
+    # support fails one of them
+    g = make()
+    doc = tmp_path / "g.json"
+    doc.write_text(json.dumps(emit_graph_document(g)))
+    build = cli_io.build_ck_family
+    for v in g.vertices:
+        def emptied(*args, v=v):
+            rep = build(*args)
+            rep.supports[v] = frozenset()
+            return rep
+
+        monkeypatch.setattr(cli_io, "build_ck_family", emptied)
+        code, text = run_command(["ck", "--graph", str(doc),
+                                  "--relative", relative])
+        assert code == 4, (v, text)
+        assert text.startswith("error: internal check failed: "), (v, text)
+
+
 def test_basis_missing_a_path_fails_its_certificate():
     # g1's Toeplitz model without the basis path e: the units of (w, e),
     # (e, w) and (e, e) would be missed; s_e then fills p_v, so the
@@ -625,9 +693,7 @@ def test_basis_missing_a_path_fails_its_certificate():
     g = g1()
     v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
     rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w),
-                    {"v": IntMatrix.from_diag([0], 2),
-                     "w": IntMatrix.from_diag([1], 2)},
-                    {"e": IntMatrix.from_partial_perm({1: 0}, 2)})
+                    {"v": frozenset({0}), "w": frozenset({1})}, {"e": {1: 0}})
     with pytest.raises(InternalCheckError,
                        match=re.escape("ck3 at v: held=True, imposed=False")):
         algebra_dimension(rep)
@@ -642,9 +708,7 @@ def test_corner_basis_missing_a_path_fails_its_certificate():
     v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
     stray = Path("w", "w", ("e",))
     rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w, stray),
-                    {"v": IntMatrix.from_diag([0, 2], 3),
-                     "w": IntMatrix.from_diag([1], 3)},
-                    {"e": IntMatrix.from_partial_perm({1: 2}, 3)})
+                    {"v": frozenset({0, 2}), "w": frozenset({1})}, {"e": {1: 2}})
     assert verify_ck(rep).failures == []
     assert algebra_dimension(rep) == 5
     with pytest.raises(InternalCheckError,
@@ -661,7 +725,7 @@ def test_basis_without_a_terminal_trivial_path_fails_its_certificate(
     rep = build_ck_family(g, RelativeSpec.full(g))
     stray = Path("v", "w", ("e", "e"))
     tampered = MatrixRep(g, rep.spec, (stray, rep.basis[1]),
-                         rep.vertex_projections, rep.edge_isometries)
+                         rep.supports, rep.edge_maps)
     assert verify_ck(tampered).failures == []
     message = "basis has no trivial path at terminal w"
     with pytest.raises(InternalCheckError) as ei:
