@@ -5,18 +5,13 @@ representation verdict."""
 
 from .bratteli import (
     BratteliChain,
-    EmbedReport,
-    LimitSummary,
     corner_chain,
     direct_limit_summary,
     embed_check,
     tail_chain,
 )
 from .ck_matrix import (
-    Block,
     CkReport,
-    CornerSummary,
-    MatrixRep,
     RelativeSpec,
     algebra_dimension,
     block_decomposition,
@@ -28,13 +23,9 @@ from .ck_matrix import (
     verify_ck,
 )
 from .classifier import (
-    DichotomyResult,
     DichotomyTag,
     RowClass,
-    SimplicityResult,
-    Verdict,
     VerdictTag,
-    Witness,
     dichotomy,
     is_af,
     is_simple,
@@ -70,8 +61,6 @@ from .errors import (
 from .exactmat import IntMatrix, exact_rank
 from .families import (
     aleph0_rose_family,
-    builtin_family,
-    family_catalog,
     forbidden_ladder_family,
     ladder_family,
     ray_family,
@@ -83,8 +72,6 @@ from .graph_model import (
     UNCOUNTABLE,
     Cardinality,
     CofinalityResult,
-    CycleReport,
-    Edge,
     EdgeBundle,
     Graph,
     Path,

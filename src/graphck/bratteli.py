@@ -270,7 +270,7 @@ def embed_check(small: Graph, rep_big: MatrixRep) -> EmbedReport:
     if not small.is_subgraph_of(big):
         raise StageError("embedding check needs the smaller model's graph "
                          "to be a subgraph of the bigger one")
-    ck3_at = rep_big.maps.checked().report.ck3_at
+    ck3_at = rep_big.checked().report.ck3_at
     ending = count_paths_ending(small)
     checked = 0
     failures: list[str] = []

@@ -16,9 +16,9 @@ has an exit (vacuous here: no cycles at all).
 All arithmetic is integer-exact; no float ever decides a dimension, and
 no matrix is ever multiplied.  A model stores each vertex projection as
 its support and each edge isometry as its col -> row map (a partial
-permutation), and reads them once (``MatrixRep.maps``), with one relation
-pass in time linear in their size: ``verify_ck`` reports it, and the gaps,
-the dimension certificate (``_certified_rank``) and the stage embedding
+permutation), and runs one relation pass over them (``MatrixRep.report``)
+in time linear in their size: ``verify_ck`` reports it, and the gaps, the
+dimension certificate (``_certified_rank``) and the stage embedding
 certificate (``bratteli.embed_check``) require it.  A path operator
 composes its edges' maps.  The certified rank is the sum over terminal
 vertices of the squared number of basis paths into each; no unit S_a S_b*
@@ -29,7 +29,7 @@ every path-pair unit, and the relations as its products, are test oracles.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BoundExceededError,
@@ -101,23 +101,70 @@ def terminal_vertices(g: Graph, spec: RelativeSpec) -> list[str]:
 @dataclass
 class MatrixRep:
     """The assembled model: basis paths, each vertex's support, each edge's
-    col -> row map.  Every check reads the generators' one ``maps``, so a
-    model is not edited after its first check.  ``vertex_projections`` and
-    ``edge_isometries`` are ``IntMatrix`` views, built on first access."""
+    col -> row map.  Every check reads the one relation pass (``report``),
+    cached on first use, so a model is not edited after its first check.
+    ``vertex_projections`` and ``edge_isometries`` are ``IntMatrix`` views,
+    built on first access."""
 
     graph: Graph
     spec: RelativeSpec
     basis: tuple[Path, ...]
     supports: dict[str, frozenset[int]]
     edge_maps: dict[str, dict[int, int]]
+    # composed path maps of two or more edges, keyed by the edge tuple
+    _composed: dict[tuple[str, ...], dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @functools.cached_property
-    def maps(self) -> "PathMaps":
-        return PathMaps(self)
+    def covers(self) -> dict[str, tuple[set[int], bool]]:
+        """Per vertex, the union of its out-edges' ranges and whether those
+        are pairwise disjoint (their sizes add up to the union's size)."""
+        g = self.graph
+        covered: dict[str, set[int]] = {v: set() for v in g.vertices}
+        sizes = dict.fromkeys(g.vertices, 0)
+        for e in g.finite_edges():
+            rows = self.edge_maps[e.id].values()
+            covered[e.src].update(rows)
+            sizes[e.src] += len(rows)
+        return {v: (c, sizes[v] == len(c)) for v, c in covered.items()}
+
+    @functools.cached_property
+    def report(self) -> "CkReport":
+        """The relation pass, after each edge's map is found injective."""
+        for e, m in self.edge_maps.items():
+            if len(set(m.values())) != len(m):
+                raise InternalCheckError(
+                    f"generator s_{e} is not a partial permutation")
+        return _relations(self)
+
+    def checked(self) -> "MatrixRep":
+        """This model, for a certificate that needs every relation: the
+        relation pass's first failure, if any, is raised instead."""
+        if self.report.failures:
+            raise InternalCheckError(self.report.failures[0])
+        return self
+
+    def path_map(self, path: Path) -> dict[int, int]:
+        """The col -> row map of a path operator.  A trivial path's map is
+        the identity on its vertex's support; any other path's composes
+        its edges' maps, memoised on the edge tuple, so a path extends the
+        map of its longest memoised suffix."""
+        if path.is_trivial:
+            return {i: i for i in self.supports[path.source]}
+        edges, maps, memo = path.edges, self.edge_maps, self._composed
+        k = 0
+        while k < len(edges) - 1 and edges[k:] not in memo:
+            k += 1
+        m = maps[edges[k]] if k == len(edges) - 1 else memo[edges[k:]]
+        for j in reversed(range(k)):
+            first = maps[edges[j]]
+            m = {c: first[r] for c, r in m.items() if r in first}
+            memo[edges[j:]] = m
+        return m
 
     @functools.cached_property
     def vertex_projections(self) -> dict[str, IntMatrix]:
@@ -161,54 +208,6 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
                      col_to_row)
 
 
-# --- path maps --------------------------------------------------------------
-
-
-class PathMaps:
-    """Col -> row maps of a model's path operators, with the out-edges'
-    covers and the relation pass (``report``) read off them.
-
-    Each edge's map is the model's own and must be injective.  A trivial
-    path's map is the identity on its vertex's support; any other path's
-    map composes its edges' maps, memoised on the edge tuple, so a path
-    extends the map of its longest memoised suffix.
-    """
-
-    def __init__(self, rep: MatrixRep):
-        for e, m in rep.edge_maps.items():
-            if len(set(m.values())) != len(m):
-                raise InternalCheckError(
-                    f"generator s_{e} is not a partial permutation")
-        self.support = rep.supports
-        self._edges = {(e,): m for e, m in rep.edge_maps.items()}
-        self.covers = _covers(rep.graph, self.edge)
-        self.report = _relations(rep, self)
-
-    def edge(self, e: str) -> dict[int, int]:
-        return self._edges[(e,)]
-
-    def checked(self) -> "PathMaps":
-        """These maps, for a certificate that needs every relation: the
-        relation pass's first failure, if any, is raised instead."""
-        if self.report.failures:
-            raise InternalCheckError(self.report.failures[0])
-        return self
-
-    def __call__(self, path: Path) -> dict[int, int]:
-        if path.is_trivial:
-            return {i: i for i in self.support[path.source]}
-        edges, memo = path.edges, self._edges
-        k = 0
-        while k < len(edges) - 1 and edges[k:] not in memo:
-            k += 1
-        m = memo[edges[k:]]
-        for j in reversed(range(k)):
-            first = memo[edges[j:j + 1]]
-            m = {c: first[r] for c, r in m.items() if r in first}
-            memo[edges[j:]] = m
-        return m
-
-
 # --- verification ---------------------------------------------------------
 
 
@@ -230,18 +229,6 @@ class CkReport:
         return self.ck1 and self.ck2 and self.mutual_orthogonality
 
 
-def _covers(g: Graph, edge_map) -> dict[str, tuple[set[int], bool]]:
-    """Per vertex, the union of its out-edges' ranges and whether those
-    are pairwise disjoint (their sizes add up to the union's size)."""
-    covered: dict[str, set[int]] = {v: set() for v in g.vertices}
-    sizes = dict.fromkeys(g.vertices, 0)
-    for e in g.finite_edges():
-        rows = edge_map(e.id).values()
-        covered[e.src].update(rows)
-        sizes[e.src] += len(rows)
-    return {v: (c, sizes[v] == len(c)) for v, c in covered.items()}
-
-
 def _meeting_pairs(names: list[str], domains: list, ranges: list
                    ) -> list[tuple[str, str]]:
     """Pairs (a, b) of ``names``, a listed before b, where a's domain meets
@@ -256,13 +243,13 @@ def _meeting_pairs(names: list[str], domains: list, ranges: list
     return [(names[i], names[j]) for i, j in sorted(pairs)]
 
 
-def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
+def _relations(rep: MatrixRep) -> CkReport:
     g = rep.graph
-    support, edges = maps.support, g.finite_edges()
+    support, edges = rep.supports, g.finite_edges()
     failures = []
     ck1_ok = ck2_ok = True
     for e in edges:
-        m = maps.edge(e.id)
+        m = rep.edge_maps[e.id]
         if m.keys() != support[e.dst]:
             ck1_ok = False
             failures.append(f"ck1 fails at edge {e.id}")
@@ -271,7 +258,7 @@ def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
             failures.append(f"ck2 fails at edge {e.id}")
 
     ids = [e.id for e in edges]
-    ranges = [maps.edge(a).values() for a in ids]
+    ranges = [rep.edge_maps[a].values() for a in ids]
     supports = [support[v] for v in g.vertices]
     clashes = [f"vertex projections {v}, {w} not orthogonal"
                for v, w in _meeting_pairs(g.vertices, supports, supports)]
@@ -281,7 +268,7 @@ def _relations(rep: MatrixRep, maps: PathMaps) -> CkReport:
 
     ck3: dict[str, bool] = {}
     for v in regular_vertices(g):
-        covered, disjoint = maps.covers[v]
+        covered, disjoint = rep.covers[v]
         held = disjoint and covered == support[v]
         ck3[v] = held
         if held != (v in rep.spec.imposed):
@@ -296,7 +283,7 @@ def verify_ck(rep: MatrixRep) -> CkReport:
     within the support); vertex projections and edge ranges are mutually
     orthogonal; and, per regular vertex v, whether the out-edges' ranges
     cover p_v disjointly (the summation identity)."""
-    return rep.maps.report
+    return rep.report
 
 
 @dataclass(frozen=True)
@@ -323,8 +310,8 @@ def gap_projections(rep: MatrixRep) -> dict[str, GapEntry]:
     p_v's support, and the gap is the diagonal on the support's uncovered
     positions.  With the path basis it is the rank-one projection onto
     the vertex's own trivial path."""
-    maps = rep.maps.checked()
-    return {v: GapEntry(maps.support[v] - maps.covers[v][0], rep.dim)
+    rep.checked()
+    return {v: GapEntry(rep.supports[v] - rep.covers[v][0], rep.dim)
             for v in regular_vertices(rep.graph) if v not in rep.spec.imposed}
 
 
@@ -350,7 +337,7 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
     sum of n_t squared, n_t the number of basis paths into t.  Cost:
     the size of the path maps; no pair is formed.
     """
-    g, maps = rep.graph, rep.maps.checked()
+    g = rep.checked().graph
     # positions of the basis's trivial paths, found in one scan: a
     # hand-built basis need not be sorted
     at = {p: i for i, p in enumerate(rep.basis) if not p.edges}
@@ -366,7 +353,7 @@ def _certified_rank(rep: MatrixRep, source: str | None) -> int:
         if source is not None and a.source != source:
             continue
         t = a.target
-        m = maps(a)
+        m = rep.path_map(a)
         if m.get(trivial.get(t)) != i or min(m.values()) != i:
             raise InternalCheckError(
                 f"path {a.label()} does not send {t} to itself "

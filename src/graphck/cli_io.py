@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import pathlib
 import sys
 # graphck no longer uses a thread pool; the name stays bound because
@@ -361,31 +362,23 @@ def _cmd_ck(g: Graph, label: str, relative: str, export_path: str | None) -> Rep
     imposed = _fmt_set(spec.imposed)
     r.say(f"relative spec: summation identity imposed at {imposed}")
     r.say(f"basis: {rep.dim} paths into sinks and off-list regular vertices")
-    report = verify_ck(rep)
-    r.say(f"range projections (s*s = p at the range): {_yesno(report.ck1)}")
-    r.say(f"ranges dominated by sources (ss* <= p at the source): "
-          f"{_yesno(report.ck2)}")
-    r.say(f"mutual orthogonality of vertex projections and edge ranges: "
-          f"{_yesno(report.mutual_orthogonality)}")
-    held = sorted(v for v, ok in report.ck3_at.items() if ok)
-    exact = report.ck3_exactly_at(spec.imposed)
-    r.say(f"summation identity holds at {_fmt_set(held)}; "
-          f"matches the imposed set: {_yesno(exact)}")
-    # gap_projections raises the relation pass's first failure, and a zero
-    # vertex projection fails that pass or the dimension certificate below
+    # the report prints only if every relation holds: gap_projections
+    # raises the relation pass's first failure (exit 4), and a zero vertex
+    # or gap projection fails that pass or the dimension certificate below
+    held = sorted(v for v, ok in verify_ck(rep).ck3_at.items() if ok)
+    r.say("relations hold exactly: s*s = p at the range, ss* <= p at the "
+          "source, vertex projections and edge ranges mutually orthogonal; "
+          f"the summation identity holds at {_fmt_set(held)} and nowhere else")
     gaps = gap_projections(rep)
-    nonzero_gaps = sorted(v for v, e in gaps.items() if e.nonzero)
     if gaps:
         r.say(f"gap projections at off-list regular vertices: "
-              f"{_fmt_set(gaps)}; all nonzero: "
-              f"{_yesno(len(nonzero_gaps) == len(gaps))}")
+              f"{_fmt_set(gaps)}")
     else:
         r.say("no gap projections: the summation identity is imposed at "
               "every regular vertex")
-    if len(nonzero_gaps) == len(gaps):
-        r.say("every vertex projection and every gap projection is nonzero, "
-              "so this model is faithful on the relative algebra",
-              "relative-uniqueness")
+    r.say("every vertex projection and every gap projection is nonzero, "
+          "so this model is faithful on the relative algebra",
+          "relative-uniqueness")
     dim = algebra_dimension(rep)
     r.say(f"algebra dimension: {dim} (exact rank over the rationals)")
     blocks = None
@@ -433,8 +426,9 @@ def _cmd_bratteli(family_name: str, depth: int, verify_embedding: bool) -> Repor
         r.say("chain kind: tail (whole algebras along the exclusive tail)")
     else:
         raise ChainError(f"family {family_name!r} does not define a chain shape")
-    r.say(f"sizes d: {' '.join(map(str, chain.d))}")
-    r.say(f"multiplicities m: {' '.join(map(str, chain.m))}")
+    r.say(f"sizes d: {' '.join(decimal(x, 'chain size') for x in chain.d)}")
+    r.say("multiplicities m: "
+          f"{' '.join(decimal(x, 'chain multiplicity') for x in chain.m)}")
     limit = direct_limit_summary(chain)
     tag = {"UHF": "uniform-multiplicity-chain-uhf",
            "Compacts": "multiplicity-one-chain-compacts"}.get(limit.kind,
@@ -442,17 +436,15 @@ def _cmd_bratteli(family_name: str, depth: int, verify_embedding: bool) -> Repor
     r.say(f"limit: {limit.render()}", tag)
     if chain.label == "ladder2" and chain.kind == CORNER:
         r.cite("doubled-ladder-corner-uhf")
-    if verify_embedding:
-        if depth < 2:
-            raise ChainError("embedding check needs depth >= 2")
+    if verify_embedding:  # the limit above needs depth >= 3
         big = sg.stage(depth)
         emb = embed_check(sg.stage(depth - 1),
                           build_ck_family(big, RelativeSpec.full(big)))
-        r.say(f"embedding of stage {depth - 1} into stage {depth}: "
-              f"{'pass' if emb.ok else 'FAIL'} "
-              f"({emb.pairs_checked} matrix units, exact)")
-        for f_ in emb.failures:
-            r.say(f"FAILED: {f_}")
+        step = f"embedding of stage {depth - 1} into stage {depth}"
+        if not emb.ok:
+            raise InternalCheckError(
+                f"{step} fails: {'; '.join(emb.failures)}")
+        r.say(f"{step}: pass ({emb.pairs_checked} matrix units, exact)")
         r.data["embedding_ok"] = emb.ok
     r.data.update(kind=chain.kind, d=list(chain.d), m=list(chain.m),
                   limit=limit.render())
@@ -702,5 +694,13 @@ def run_command(argv) -> tuple[int, str]:
 def main() -> None:
     code, text = run_command(sys.argv[1:])
     if text:
-        print(text, file=sys.stderr if code else sys.stdout)
+        out = sys.stderr if code else sys.stdout
+        try:
+            print(text, file=out)
+            out.flush()
+        except OSError as exc:  # the reader went away, as in `... | head`
+            # what is still buffered goes to devnull at exit, quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            code = 2
     raise SystemExit(code)

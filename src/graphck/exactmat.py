@@ -3,7 +3,7 @@
 Everything here is integer arithmetic; rank uses fraction-free elimination
 (cross-multiplication with gcd reduction), so no floating point ever enters
 it.  A model stores its generators as supports and col -> row maps, and
-every check reads those (see ``ck_matrix.PathMaps``); ``IntMatrix`` is
+every check reads those (see ``ck_matrix.MatrixRep``); ``IntMatrix`` is
 only the view of them that ``MatrixRep`` builds on first access for
 outside readers, and no command builds one.  The matrix algebra below,
 and ``exact_rank`` over every path-pair unit, serve the tests' oracles.
@@ -91,21 +91,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def partial_permutation_map(self) -> dict[int, int] | None:
-        """The col -> row map if every entry is 1 and no two entries share
-        a row or a column; None otherwise."""
-        cols = {c: r for r, c in self.entries}
-        if (len(cols) == len(self.entries) == len(set(cols.values()))
-                and set(self.entries.values()) <= {1}):
-            return cols
-        return None
-
-    def is_partial_permutation(self) -> bool:
-        return self.partial_permutation_map() is not None
-
-    def to_triples(self) -> list[list[int]]:
-        return [[r, c, v] for (r, c), v in sorted(self.entries.items())]
 
     def vectorize(self) -> dict[int, int]:
         """Flatten to a sparse vector keyed by row * dim + col."""

@@ -108,19 +108,19 @@ def rose_family(loops: int) -> StagedGraph:
         raise FamilyError("rose needs at least one loop")
     g = build_graph(["u"], [EdgeBundle(f"l_{j}", "u", "u")
                             for j in range(1, loops + 1)])
-    return StagedGraph(f"rose{loops}", lambda n: g, constant=True)
+    return StagedGraph.fixed(f"rose{loops}", g)
 
 
 def uncountable_rose_family() -> StagedGraph:
     """One vertex with a single uncountable loop bundle."""
     g = build_graph(["u"], [EdgeBundle("l", "u", "u", UNCOUNTABLE)])
-    return StagedGraph("uncountable_rose", lambda n: g, constant=True)
+    return StagedGraph.fixed("uncountable_rose", g)
 
 
 def aleph0_rose_family() -> StagedGraph:
     """One vertex with one countably infinite loop bundle."""
     g = build_graph(["u"], [EdgeBundle("l", "u", "u", ALEPH0)])
-    return StagedGraph("aleph0_rose", lambda n: g, constant=True)
+    return StagedGraph.fixed("aleph0_rose", g)
 
 
 _FAMILY_SPECS = [

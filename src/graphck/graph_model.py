@@ -623,21 +623,31 @@ class StagedGraph:
 
     ``build(n)`` produces stage n for n = 0, 1, 2, ...; materialized stages
     are cached and checked for monotone inclusion and for every claim the
-    profile makes."""
+    profile makes.  A ``constant`` family (``fixed``) is one graph: every
+    stage is that graph, and nothing is built or checked per stage."""
 
     def __init__(self, name: str, build: Callable[[int], Graph],
                  profile: UniformProfile | None = None, *,
-                 constant: bool = False, chain_kind: str | None = None):
+                 chain_kind: str | None = None):
         self.name = name
         self._build = build
         self.profile = profile
-        self.constant = constant
+        self.constant = False
         self.chain_kind = chain_kind  # "corner" | "tail" | None
         self._stages: dict[int, Graph] = {}
+
+    @staticmethod
+    def fixed(name: str, g: Graph) -> "StagedGraph":
+        """The constant family whose every stage is ``g``."""
+        sg = StagedGraph(name, lambda n: g)
+        sg.constant = True
+        return sg
 
     def stage(self, n: int) -> Graph:
         if n < 0:
             raise StageError("stage index must be >= 0")
+        if self.constant:
+            return self._build(n)
         for k in range(0, n + 1):
             if k in self._stages:
                 continue
@@ -647,8 +657,6 @@ class StagedGraph:
                 if not prev.is_subgraph_of(g):
                     raise StageError(
                         f"{self.name}: stage {k - 1} is not a subgraph of stage {k}")
-                if self.constant and prev != g:
-                    raise StageError(f"{self.name}: constant family changed at stage {k}")
             self._check_profile(k, g)
             self._stages[k] = g
         return self._stages[n]

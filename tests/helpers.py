@@ -36,7 +36,6 @@ from graphck.ideal_lattice import lattice_order
 from graphck.ck_matrix import (
     GapEntry,
     MatrixRep,
-    PathMaps,
     _check_model_graph,
     terminal_vertices,
 )
@@ -489,14 +488,13 @@ def rank_dimension(rep, source: str | None) -> int:
     """The elimination route that the dimension certificate replaced:
     ``exact_rank`` over the matrix unit of every pair of paths with a
     common range, both paths starting at ``source`` unless it is None."""
-    maps = PathMaps(rep)
     groups: dict[str, list[Path]] = {}
     for p in enumerate_paths(rep.graph):
         if source is None or p.source == source:
             groups.setdefault(p.target, []).append(p)
     vectors = []
     for group in groups.values():
-        ms = [maps(p) for p in group]
+        ms = [rep.path_map(p) for p in group]
         vectors.extend(matrix_unit(ma, mb, rep.dim) for ma in ms for mb in ms)
     return exact_rank(vectors)
 

@@ -1,5 +1,7 @@
 # Chains of single matrix blocks, their limits, and the embedding check.
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +29,8 @@ from graphck import (
     verify_ck,
 )
 from graphck import cli_io
-from graphck.bratteli import CORNER, TAIL
-from graphck.ck_matrix import PathMaps
+from graphck.bratteli import CORNER, TAIL, EmbedReport
+from graphck.ck_matrix import MatrixRep
 
 import helpers
 from helpers import graphs, product_embed_check, two_sinks
@@ -74,7 +76,7 @@ def test_corner_chain_needs_spine_or_corner():
 
 
 def test_corner_chain_rejects_multiple_sinks():
-    sg = StagedGraph("pair", lambda n: two_sinks(), constant=True)
+    sg = StagedGraph.fixed("pair", two_sinks())
     with pytest.raises(ChainError):
         corner_chain(sg, 2, corner_vertex="v")
 
@@ -343,7 +345,7 @@ def test_deep_embedding_composes_no_path_and_forms_no_unit(monkeypatch):
         raise AssertionError("the embedding certificate composed a path "
                              "or formed a unit")
 
-    monkeypatch.setattr(PathMaps, "__call__", refuse)
+    monkeypatch.setattr(MatrixRep, "path_map", refuse)
     monkeypatch.setattr(helpers, "matrix_unit", refuse)
     code, text = run_command(["bratteli", "--family", "ladder2", "--depth",
                               "12", "--verify-embedding"])
@@ -366,3 +368,31 @@ def test_verify_embedding_builds_only_the_bigger_stage(monkeypatch):
     # 1+2+4+8+16 paths into stage 5's sink, squared
     assert "pass (961 matrix units, exact)" in text
     assert built == [len(ladder_family(2).stage(6).vertices)]
+
+
+def test_failed_embedding_exits_4(monkeypatch):
+    # a failed certificate is a bug in the package, not an answer to print
+    def failing(small, rep_big):
+        return EmbedReport(False, 9, ["9 units at w_5"])
+
+    monkeypatch.setattr(cli_io, "embed_check", failing)
+    for json_flag in ([], ["--json"]):
+        code, text = run_command(["bratteli", "--family", "ladder2",
+                                  "--depth", "6", "--verify-embedding",
+                                  *json_flag])
+        assert (code, text) == (
+            4, "error: internal check failed: embedding of stage 5 into "
+               "stage 6 fails: 9 units at w_5")
+
+
+def test_chain_sizes_past_the_digit_limit_exit_3(monkeypatch):
+    huge = 10 ** (sys.get_int_max_str_digits() + 1)
+    chain = BratteliChain(CORNER, (1, 10, huge), (10, huge // 10),
+                          corner="w_1", label="ladder10")
+    monkeypatch.setattr(cli_io, "corner_chain", lambda sg, depth: chain)
+    for json_flag in ([], ["--json"]):
+        code, text = run_command(["bratteli", "--family", "ladder10",
+                                  "--depth", "3", *json_flag])
+        assert (code, text) == (
+            3, "error: chain size has more than "
+               f"{sys.get_int_max_str_digits()} digits")

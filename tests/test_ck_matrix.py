@@ -39,7 +39,7 @@ from graphck import (
 )
 
 from graphck import ck_matrix, cli_io
-from graphck.ck_matrix import MatrixRep, PathMaps
+from graphck.ck_matrix import MatrixRep
 
 import helpers
 from helpers import (
@@ -107,11 +107,16 @@ def _assert_builders_agree(g, spec, paths=None):
     assert rep.basis == enumerated.basis
     doc = export_model(rep)
     assert doc == export_model(enumerated)
-    # the triples of the IntMatrix views: the route export_model replaced
-    assert doc["p"] == {v: m.to_triples()
+    # the sorted entries of the IntMatrix views: the route export_model
+    # replaced
+    assert doc["p"] == {v: _triples(m)
                         for v, m in enumerated.vertex_projections.items()}
-    assert doc["s"] == {e: m.to_triples()
+    assert doc["s"] == {e: _triples(m)
                         for e, m in enumerated.edge_isometries.items()}
+
+
+def _triples(m):
+    return [[r, c, x] for (r, c), x in sorted(m.entries.items())]
 
 
 def test_grown_model_matches_enumerated_builder_on_universe_slice():
@@ -190,12 +195,11 @@ def test_path_matrix_products():
     # a path's composed col -> row map is the product of its edge isometries
     g = line(3)
     rep = build_ck_family(g, RelativeSpec.full(g))
-    maps = PathMaps(rep)
     p = Path.from_edges(g, ["e0", "e1"])
-    assert IntMatrix.from_partial_perm(maps(p), rep.dim) == \
+    assert IntMatrix.from_partial_perm(rep.path_map(p), rep.dim) == \
         rep.edge_isometries["e0"] @ rep.edge_isometries["e1"]
     trivial = Path.trivial(g, "v0")
-    assert IntMatrix.from_partial_perm(maps(trivial), rep.dim) == \
+    assert IntMatrix.from_partial_perm(rep.path_map(trivial), rep.dim) == \
         rep.vertex_projections["v0"]
 
 
@@ -381,9 +385,8 @@ def test_dimension_matches_product_route_under_every_spec(g):
     paths = enumerate_paths(g)
     for spec in all_specs(g):
         rep = build_ck_family(g, spec)
-        maps = PathMaps(rep)
         for p in paths:
-            assert IntMatrix.from_partial_perm(maps(p), rep.dim) == \
+            assert IntMatrix.from_partial_perm(rep.path_map(p), rep.dim) == \
                 product_path_matrix(rep, p)
         units = product_unit_vectors(rep, _by_target(paths))
         assert algebra_dimension(rep) == fraction_rank(units)
@@ -473,8 +476,9 @@ def test_relations_match_product_route_on_tampered_models(g, data):
 
 def test_ck_reads_each_generator_once_and_runs_one_relation_pass(
         monkeypatch, tmp_path):
-    # each model command reads its model's one PathMaps, once, and builds
-    # no IntMatrix: the stored supports and maps are what every check reads
+    # each model command runs its model's one relation pass, once, and
+    # builds no IntMatrix: the stored supports and maps are what every
+    # check reads
     calls = {"relations": 0, "matrices": 0}
     relations, init = ck_matrix._relations, IntMatrix.__init__
 
@@ -507,6 +511,9 @@ def test_ck_reads_each_generator_once_and_runs_one_relation_pass(
 def test_model_views_are_cached_and_match_the_maps():
     g = ladder_family(2).stage(4)
     rep = build_ck_family(g, RelativeSpec.toeplitz())
+    assert rep.report is rep.report
+    assert verify_ck(rep) is rep.report
+    assert rep.covers is rep.covers
     assert rep.vertex_projections is rep.vertex_projections
     assert rep.edge_isometries is rep.edge_isometries
     assert rep.vertex_projections == {

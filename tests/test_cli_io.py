@@ -261,7 +261,10 @@ def test_ck_text_report():
     assert code == 0
     assert "algebra dimension: 4" in text
     assert "blocks: w: M_2" in text
-    assert "matches the imposed set: yes" in text
+    assert ("relations hold exactly: s*s = p at the range, ss* <= p at the "
+            "source, vertex projections and edge ranges mutually orthogonal; "
+            "the summation identity holds at {v} and nowhere else  [computed]"
+            in text)
 
 
 def test_ck_toeplitz_gaps():
@@ -273,6 +276,8 @@ def test_ck_toeplitz_gaps():
     assert obj["imposed"] == []
     assert obj["gaps"] == {"v": True}
     assert obj["relations_verified"] is True
+    assert obj["claims"][2]["text"].endswith(
+        "; the summation identity holds at {} and nowhere else")
     assert "blocks" not in obj
 
 
@@ -581,6 +586,36 @@ def test_consecutive_commands_share_no_parser_state(monkeypatch):
             json.loads(fresh.stdout), argv
     # --help exits through SystemExit; a usage error after it still reports
     assert run_command(argvs[0])[0] == 2
+
+
+def _run_with_closed(stream, argv):
+    """Run the CLI with one output pipe closed before it writes; return
+    the exit code and what the other pipe received."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphck", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    closed, other = ((proc.stdout, proc.stderr) if stream == "stdout"
+                     else (proc.stderr, proc.stdout))
+    closed.close()  # the reader goes away before anything is written
+    received = other.read().decode()
+    other.close()
+    return proc.wait(timeout=60), received
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "ladder2", "--depth", "300"],
+    ["ck", "--family", "ladder2", "--depth", "8", "--json"],
+], ids=["family", "ck-json"])
+def test_closed_stdout_exits_2_without_a_traceback(argv):
+    assert _run_with_closed("stdout", argv) == (
+        2, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+
+def test_closed_stderr_exits_2():
+    # the refusal goes to the closed stderr, and so would the write error
+    argv = ["corner", "--graph", str(GRAPH_DIR / "g1.json"), "--vertex", "nope"]
+    assert _run_with_closed("stderr", argv) == (2, "")
 
 
 # --- batch mode -----------------------------------------------------------------------

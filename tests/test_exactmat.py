@@ -63,27 +63,10 @@ def test_identity_and_diag():
     assert (i @ d) == d
 
 
-def test_partial_permutation_predicate():
-    m = IntMatrix.from_partial_perm({0: 1, 2: 0}, 3)
-    assert m.is_partial_permutation()
-    assert m.partial_permutation_map() == {0: 1, 2: 0}
-    assert not IntMatrix(2, {(0, 0): 2}).is_partial_permutation()
-    # two columns hitting the same row is not injective
-    assert not IntMatrix(2, {(0, 0): 1, (0, 1): 1}).is_partial_permutation()
-    # one column hitting two rows is not a map
-    assert IntMatrix(2, {(0, 0): 1, (1, 0): 1}).partial_permutation_map() is None
-    assert IntMatrix.zero(4).partial_permutation_map() == {}
-
-
 def test_from_partial_perm_entries():
     # column c goes to row r: entry (r, c)
     s = IntMatrix.from_partial_perm({1: 0, 3: 2}, 4)
     assert s.entries == {(0, 1): 1, (2, 3): 1}
-
-
-def test_to_triples_sorted():
-    m = IntMatrix(3, {(2, 0): 5, (0, 1): -1})
-    assert m.to_triples() == [[0, 1, -1], [2, 0, 5]]
 
 
 def test_vectorize_round_trip_positions():

@@ -484,10 +484,14 @@ def test_staged_monotone_violation():
         sg.stage(2)
 
 
-def test_staged_constancy_violation():
-    sg = StagedGraph("not-constant", lambda n: line(n + 1), constant=True)
+def test_fixed_family_is_its_graph_at_every_stage():
+    g = rose(2)
+    sg = StagedGraph.fixed("pair-of-loops", g)
+    assert sg.constant
+    for n in (0, 1, 7, 10 ** 8):
+        assert sg.stage(n) is g
     with pytest.raises(StageError):
-        sg.stage(1)
+        sg.stage(-1)
 
 
 def test_staged_acyclic_claim_violation():
