@@ -85,6 +85,7 @@ def corner_chain(sg: StagedGraph, depth: int,
     """
     if depth < 1:
         raise ChainError("corner chain needs depth >= 1")
+    sg.admit(range(1, depth + 1))
     if corner_vertex is None:
         prefix = sg.spine_prefix(1)
         if not prefix:
@@ -126,6 +127,7 @@ def tail_chain(sg: StagedGraph, depth: int) -> BratteliChain:
     """
     if depth < 1:
         raise ChainError("tail chain needs depth >= 1")
+    sg.admit(range(1, depth + 1))
     d: list[int] = []
     prev_sink: str | None = None
     for n in range(1, depth + 1):

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
+    BoundExceededError,
     CyclicGraphError,
     EmptyGraphError,
     InfiniteBundleError,
@@ -181,6 +182,10 @@ def _reaching_set(g: Graph, target: str) -> set[str]:
 # --- doubled-path ladders --------------------------------------------------------
 
 
+# steps of one ladder_length walk: vertices * (vertices + bundles)
+LADDER_WORK_BOUND = 1 << 23
+
+
 def ladder_length(g: Graph) -> int:
     """Longest chain of distinct vertices consecutively joined by at least
     two distinct paths.
@@ -190,11 +195,16 @@ def ladder_length(g: Graph) -> int:
     at two during the DP).  On an acyclic graph that relation is itself
     acyclic, and the answer is its longest chain, counted in steps.  Taken
     in reverse topological order, each source meets its doubled targets
-    with their chains known, so the relation is never stored.
+    with their chains known, so the relation is never stored.  A walk of
+    more than ``LADDER_WORK_BOUND`` steps is refused before it starts.
     """
     if not g.all_bundles_finite():
         raise InfiniteBundleError("ladder length needs finite bundles")
     order = topological_order(g)  # raises CyclicGraphError on cycles
+    if len(order) * (len(order) + len(g.bundles)) > LADDER_WORK_BOUND:
+        raise BoundExceededError(
+            f"ladder length would take more than {LADDER_WORK_BOUND} steps "
+            "(vertices x (vertices + bundles))")
     best = dict.fromkeys(g.vertices, 0)  # longest chain from each vertex
     for i in reversed(range(len(order))):
         # capped path counts from order[i], by a forward DP over the rest
@@ -267,19 +277,19 @@ def _dichotomy_staged(sg: StagedGraph, depth: int) -> DichotomyResult:
     if has_cycle(stage):
         raise CyclicGraphError("dichotomy is about acyclic graphs")
     prof = sg.profile
-    if prof is not None and prof.spine is not None and prof.spine_exclusive \
+    if prof.spine is not None and prof.spine_exclusive \
             and (prof.min_out_degree or 0) >= 1 and prof.acyclic_stages:
         spine = sg.spine_prefix(depth)
         edges = []
         for a, b in zip(spine, spine[1:]):
             outs = stage.out_bundles(a)
-            # the exclusive-spine profile was already checked per stage
+            # the exclusive-spine profile was checked on every delta
             edges.append(outs[0].id)
         return DichotomyResult(DichotomyTag.CASE_II,
                                tail_vertices=spine, tail_edges=tuple(edges),
                                reason="exclusive tail certified by the family "
                                       "profile and verified on every stage")
-    if prof is not None and (prof.min_out_degree or 0) >= 2 and prof.acyclic_stages:
+    if (prof.min_out_degree or 0) >= 2 and prof.acyclic_stages:
         return DichotomyResult(
             DichotomyTag.NEITHER,
             reason="every settled vertex emits at least two edges, so the "
@@ -389,7 +399,7 @@ def _verdict_staged(sg: StagedGraph, depth: int) -> Verdict:
                       reason=f"no certificate decides the limit at stage {depth}",
                       citations=("computed",))
     # no cycle test: sg.stage refused a cyclic stage under this claim
-    if sg.profile is None or not sg.profile.acyclic_stages:
+    if not sg.profile.acyclic_stages:
         return unknown
     tag = _dichotomy_staged(sg, depth).tag
     if tag is DichotomyTag.CASE_II:

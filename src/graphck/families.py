@@ -21,7 +21,6 @@ from .graph_model import (
     ALEPH0,
     UNCOUNTABLE,
     EdgeBundle,
-    Graph,
     StagedGraph,
     UniformProfile,
     build_graph,
@@ -31,6 +30,21 @@ from .graph_model import (
 _RUNG_LETTERS = "efghijklmnopqrstuvwxyz"
 
 
+def _rung_delta(vertex: str, parallel: int):
+    """Deltas of a line <vertex>_1, <vertex>_2, ...: stage k adds
+    <vertex>_k and, for k >= 2, ``parallel`` rung edges into it from
+    <vertex>_{k-1}, named e_{k-1}, f_{k-1}, ..."""
+
+    def delta(k: int) -> tuple[list[str], list[EdgeBundle]]:
+        if k < 2:
+            return [f"{vertex}_{k}"] if k else [], []
+        src, dst = f"{vertex}_{k - 1}", f"{vertex}_{k}"
+        return [dst], [EdgeBundle(f"{_RUNG_LETTERS[j]}_{k - 1}", src, dst)
+                       for j in range(parallel)]
+
+    return delta
+
+
 def ladder_family(parallel: int) -> StagedGraph:
     """Stage n: vertices w_1..w_n, with ``parallel`` edges from each w_i to
     w_{i+1}."""
@@ -38,68 +52,46 @@ def ladder_family(parallel: int) -> StagedGraph:
         raise FamilyError("ladder needs at least one edge per rung")
     if parallel > len(_RUNG_LETTERS):
         raise FamilyError(f"ladder supports at most {len(_RUNG_LETTERS)} parallel edges")
-
-    def build(n: int) -> Graph:
-        vertices = [f"w_{i}" for i in range(1, n + 1)]
-        bundles = []
-        for i in range(1, n):
-            for j in range(parallel):
-                bundles.append(EdgeBundle(f"{_RUNG_LETTERS[j]}_{i}",
-                                          f"w_{i}", f"w_{i + 1}"))
-        return build_graph(vertices, bundles)
-
     profile = UniformProfile(min_out_degree=parallel,
                              spine=lambda i: f"w_{i}",
                              acyclic_stages=True)
-    return StagedGraph(f"ladder{parallel}", build, profile, chain_kind="corner")
+    return StagedGraph(f"ladder{parallel}", _rung_delta("w", parallel), profile,
+                       chain_kind="corner")
 
 
 def ray_family() -> StagedGraph:
     """Stage n: v_1 -> v_2 -> ... -> v_n, each edge its source's only one."""
-
-    def build(n: int) -> Graph:
-        vertices = [f"v_{i}" for i in range(1, n + 1)]
-        bundles = [EdgeBundle(f"e_{i}", f"v_{i}", f"v_{i + 1}")
-                   for i in range(1, n)]
-        return build_graph(vertices, bundles)
-
     profile = UniformProfile(min_out_degree=1,
                              spine=lambda i: f"v_{i}",
                              spine_exclusive=True,
                              acyclic_stages=True)
-    return StagedGraph("ray", build, profile, chain_kind="tail")
+    return StagedGraph("ray", _rung_delta("v", 1), profile, chain_kind="tail")
 
 
 def forbidden_ladder_family(len_a: int = 1, len_b: int = 2) -> StagedGraph:
     """Spine v_1, v_2, ... where consecutive vertices are joined by two
     distinct paths of lengths ``len_a`` and ``len_b`` through fresh
-    intermediate vertices."""
+    intermediate vertices.  Stage k adds v_k, then the intermediate
+    vertices and the edges of rung k-1 (path a before path b)."""
     if len_a < 1 or len_b < 1:
         raise FamilyError("forbidden_ladder path lengths must be >= 1")
 
-    def rung(i: int, tag: str, length: int) -> tuple[list[str], list[EdgeBundle]]:
-        mids = [f"{tag}{i}_{j}" for j in range(1, length)]
-        hops = [f"v_{i}"] + mids + [f"v_{i + 1}"]
-        bundles = [EdgeBundle(f"{tag}{i}_{j}e", hops[j], hops[j + 1])
-                   for j in range(length)]
-        return mids, bundles
-
-    def build(n: int) -> Graph:
-        vertices = [f"v_{i}" for i in range(1, n + 1)]
-        bundles: list[EdgeBundle] = []
-        for i in range(1, n):
-            mids_a, bun_a = rung(i, "a", len_a)
-            mids_b, bun_b = rung(i, "b", len_b)
-            vertices.extend(mids_a)
-            vertices.extend(mids_b)
-            bundles.extend(bun_a)
-            bundles.extend(bun_b)
-        return build_graph(vertices, bundles)
+    def delta(k: int) -> tuple[list[str], list[EdgeBundle]]:
+        if k < 2:
+            return [f"v_{k}"] if k else [], []
+        vertices, bundles = [f"v_{k}"], []
+        for tag, length in (("a", len_a), ("b", len_b)):
+            mids = [f"{tag}{k - 1}_{j}" for j in range(1, length)]
+            hops = [f"v_{k - 1}"] + mids + [f"v_{k}"]
+            vertices += mids
+            bundles += [EdgeBundle(f"{tag}{k - 1}_{j}e", hops[j], hops[j + 1])
+                        for j in range(length)]
+        return vertices, bundles
 
     # the spine is only edge-joined when one of the two rung paths is direct
     spine = (lambda i: f"v_{i}") if min(len_a, len_b) == 1 else None
     profile = UniformProfile(min_out_degree=1, spine=spine, acyclic_stages=True)
-    return StagedGraph(f"forbidden_ladder_{len_a}_{len_b}", build, profile)
+    return StagedGraph(f"forbidden_ladder_{len_a}_{len_b}", delta, profile)
 
 
 def rose_family(loops: int) -> StagedGraph:

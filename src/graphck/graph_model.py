@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    BoundExceededError,
     CyclicGraphError,
     GraphBuildError,
     InfiniteBundleError,
@@ -594,22 +595,27 @@ def cofinal(g: Graph) -> CofinalityResult:
 
 # --- staged graphs -------------------------------------------------------------
 
+# vertices plus bundles, summed over every stage graph one family builds
+STAGE_WORK_BOUND = 1 << 18
+
 
 @dataclass(frozen=True)
 class UniformProfile:
     """Certificate a staged family attaches to its stages.
 
-    Claims are about every stage, materialized or not; the materialized
-    ones are checked, and a failure is a generator bug.
+    Claims are about every stage.  Each is checked once, on the delta that
+    could break it, and a failure is a generator bug.
 
     * ``min_out_degree``: every vertex already present in the previous
       stage emits at least this many edges (so in the limit every vertex
-      does).  Checked when materializing each stage.
+      does).  Degrees never shrink, so a vertex is checked one stage after
+      it appears.
     * ``spine``: 1-based vertex naming for a distinguished infinite vertex
       sequence; consecutive spine vertices must be joined by an edge.
     * ``spine_exclusive``: each non-frontier spine vertex emits exactly one
       edge, the one to the next spine vertex.
-    * ``acyclic_stages``: every stage is acyclic.
+    * ``acyclic_stages``: every stage is acyclic.  Checked on each stage
+      built: a cycle persists, so that certifies every stage below it.
     """
 
     min_out_degree: int | None = None
@@ -621,88 +627,111 @@ class UniformProfile:
 class StagedGraph:
     """A monotone family of finite stages standing in for an infinite graph.
 
-    ``build(n)`` produces stage n for n = 0, 1, 2, ...; materialized stages
-    are cached and checked for monotone inclusion and for every claim the
-    profile makes.  A ``constant`` family (``fixed``) is one graph: every
-    stage is that graph, and nothing is built or checked per stage."""
+    ``delta(k)`` gives the vertices and bundles stage k adds to stage k-1,
+    so inclusion holds by construction.  Deltas are appended, and checked
+    against the profile, as stages are asked for.  ``stage(n)`` builds one
+    graph from their prefixes, which validates them, and keeps the last
+    one built.  A constant family (``fixed``) is one graph at every stage.
+    """
 
-    def __init__(self, name: str, build: Callable[[int], Graph],
+    def __init__(self, name: str, delta: Callable[[int], tuple],
                  profile: UniformProfile | None = None, *,
                  chain_kind: str | None = None):
         self.name = name
-        self._build = build
-        self.profile = profile
+        self.delta = delta
+        self.profile = profile or UniformProfile()
         self.constant = False
         self.chain_kind = chain_kind  # "corner" | "tail" | None
-        self._stages: dict[int, Graph] = {}
+        self._vertices: list[str] = []
+        self._bundles: list[EdgeBundle] = []
+        # stage k's vertex, bundle and spine prefix lengths
+        self._ends: list[tuple[int, int, int]] = []
+        self._out: dict[str, list[EdgeBundle]] = {}  # each vertex's bundles so far
+        self._spine: list[str] = []
+        self._settled: set[str] = set()  # spine vertices with a successor
+        self._built = 0  # vertices plus bundles over every graph built
+        self._last: tuple[int, Graph] | None = None
 
     @staticmethod
     def fixed(name: str, g: Graph) -> "StagedGraph":
         """The constant family whose every stage is ``g``."""
-        sg = StagedGraph(name, lambda n: g)
-        sg.constant = True
+        sg = StagedGraph(name, lambda k: (g.vertices, g.bundles) if k == 0
+                         else ((), ()))
+        sg.constant, sg._last = True, (0, g)
         return sg
 
     def stage(self, n: int) -> Graph:
         if n < 0:
             raise StageError("stage index must be >= 0")
-        if self.constant:
-            return self._build(n)
-        for k in range(0, n + 1):
-            if k in self._stages:
-                continue
-            g = self._build(k)
-            if k > 0:
-                prev = self._stages[k - 1]
-                if not prev.is_subgraph_of(g):
-                    raise StageError(
-                        f"{self.name}: stage {k - 1} is not a subgraph of stage {k}")
-            self._check_profile(k, g)
-            self._stages[k] = g
-        return self._stages[n]
+        if self.constant or (self._last and self._last[0] == n):
+            return self._last[1]
+        self.admit((n,))
+        nv, nb, _ = self._ends[n]
+        g = Graph(self._vertices[:nv], self._bundles[:nb])
+        self._built += nv + nb
+        if self.profile.acyclic_stages and has_cycle(g):
+            raise StageError(f"{self.name}: stage {n} is cyclic "
+                             "but the profile claims acyclic stages")
+        self._last = (n, g)
+        return g
+
+    def admit(self, stages: Iterable[int]) -> None:
+        """Refuse, before any is built, stages that would take this family's
+        graphs past ``STAGE_WORK_BOUND`` vertices and bundles in all.  Stages
+        only grow, so appending stops at the first one that alone passes."""
+        total = self._built
+        for n in () if self.constant else stages:
+            if n < 0:
+                raise StageError("stage index must be >= 0")
+            while (k := len(self._ends)) <= n:
+                self._append(k)
+                if total + sum(self._ends[k][:2]) > STAGE_WORK_BOUND:
+                    break
+            total += sum(self._ends[min(n, k)][:2])
+            if total > STAGE_WORK_BOUND:
+                raise BoundExceededError(
+                    f"{self.name}: stage graphs would hold more than "
+                    f"{STAGE_WORK_BOUND} vertices and bundles")
 
     def spine_prefix(self, n: int) -> tuple[str, ...]:
         """Spine vertices present in stage n, in spine order."""
-        prof = self.profile
-        if prof is None or prof.spine is None:
+        if self.profile.spine is None:
             return ()
-        return self._spine_in(self.stage(n))
+        self.admit((n,))
+        return tuple(self._spine[:self._ends[n][2]])
 
-    def _spine_in(self, g: Graph) -> tuple[str, ...]:
-        # the profile's spine names in order, up to the first one g lacks
-        spine = self.profile.spine
-        out: list[str] = []
-        while (v := spine(len(out) + 1)) in g.vertex_set:
-            out.append(v)
-        return tuple(out)
-
-    def _check_profile(self, k: int, g: Graph) -> None:
-        prof = self.profile
-        if prof is None:
-            return
-        if prof.acyclic_stages and has_cycle(g):
-            raise StageError(f"{self.name}: stage {k} is cyclic "
-                             "but the profile claims acyclic stages")
-        if prof.min_out_degree is not None and k > 0:
-            prev = self._stages[k - 1]
-            for v in prev.vertices:
-                d = g.out_degree(v)
-                if d is not None and d < prof.min_out_degree:
-                    raise StageError(
-                        f"{self.name}: vertex {v!r} settled with out-degree {d} "
-                        f"< {prof.min_out_degree} at stage {k}")
-        if prof.spine is not None:
-            prefix = self._spine_in(g)
-            if k > 0 and not prefix:
-                raise StageError(f"{self.name}: stage {k} has no spine vertex")
-            for a, b in zip(prefix, prefix[1:]):
-                outs = [bb for bb in g.out_bundles(a) if bb.dst == b]
-                if not outs:
-                    raise StageError(
-                        f"{self.name}: spine vertices {a!r}->{b!r} not joined at stage {k}")
-                if prof.spine_exclusive:
-                    all_out = g.out_bundles(a)
-                    if len(all_out) != 1 or all_out[0].cardinality.count != 1 \
-                            or all_out[0].dst != b:
-                        raise StageError(
-                            f"{self.name}: spine vertex {a!r} is not exclusive at stage {k}")
+    def _append(self, k: int) -> None:
+        """Append stage k's delta, checking each claim it could break."""
+        prof, out, spine = self.profile, self._out, self._spine
+        vertices, bundles = self.delta(k)
+        fresh = self._vertices[self._ends[k - 2][0] if k > 1 else 0:]  # stage k-1's
+        for v in vertices:
+            out.setdefault(v, [])
+        for b in bundles:
+            out.setdefault(b.src, []).append(b)
+        for v in fresh if prof.min_out_degree is not None else ():
+            d = sum(b.cardinality.count for b in out[v])
+            if d < prof.min_out_degree and all(b.cardinality.is_finite for b in out[v]):
+                raise StageError(f"{self.name}: vertex {v!r} settled with out-degree "
+                                 f"{d} < {prof.min_out_degree} at stage {k}")
+        # the profile's spine names in order, up to the first one missing
+        while prof.spine is not None and (w := prof.spine(len(spine) + 1)) in out:
+            if spine:
+                if not any(b.dst == w for b in out[spine[-1]]):
+                    raise StageError(f"{self.name}: spine vertices {spine[-1]!r}->"
+                                     f"{w!r} not joined at stage {k}")
+                self._settled.add(spine[-1])
+            spine.append(w)
+        if prof.spine is not None and k > 0 and not spine:
+            raise StageError(f"{self.name}: stage {k} has no spine vertex")
+        # a settled spine vertex is the source of a bundle in the delta that
+        # settles it (its successor is new) and of any it emits later
+        for b in bundles if prof.spine_exclusive else ():
+            outs = out[b.src]
+            if b.src in self._settled and (len(outs) != 1
+                                           or outs[0].cardinality.count != 1):
+                raise StageError(f"{self.name}: spine vertex {b.src!r} "
+                                 f"is not exclusive at stage {k}")
+        self._vertices += vertices
+        self._bundles += bundles
+        self._ends.append((len(self._vertices), len(self._bundles), len(spine)))

@@ -81,6 +81,60 @@ def diamond() -> Graph:
                         EdgeBundle("e3", "l", "b"), EdgeBundle("e4", "r", "b")])
 
 
+def line_delta(k: int):
+    """Deltas of the family whose stage n is ``line(n + 1)``."""
+    return [f"v{k}"], [EdgeBundle(f"e{k - 1}", f"v{k - 1}", f"v{k}")] if k else []
+
+
+# --- family stages built from scratch --------------------------------------------
+#
+# The builtin families grow by deltas; these build each stage whole from the
+# families' published definitions, as the oracle the deltas must match.
+
+_RUNG_LETTERS = "efghijklmnopqrstuvwxyz"
+
+
+def ladder_stage(parallel: int, n: int) -> Graph:
+    """Stage n of ``ladder<parallel>``: w_1..w_n, ``parallel`` edges per rung."""
+    vertices = [f"w_{i}" for i in range(1, n + 1)]
+    bundles = [EdgeBundle(f"{_RUNG_LETTERS[j]}_{i}", f"w_{i}", f"w_{i + 1}")
+               for i in range(1, n) for j in range(parallel)]
+    return build_graph(vertices, bundles)
+
+
+def ray_stage(n: int) -> Graph:
+    """Stage n of ``ray``: v_1 -> v_2 -> ... -> v_n."""
+    vertices = [f"v_{i}" for i in range(1, n + 1)]
+    return build_graph(vertices, [EdgeBundle(f"e_{i}", f"v_{i}", f"v_{i + 1}")
+                                  for i in range(1, n)])
+
+
+def forbidden_ladder_stage(len_a: int, len_b: int, n: int) -> Graph:
+    """Stage n of ``forbidden_ladder_<len_a>_<len_b>``: spine first, then
+    each rung's intermediate vertices."""
+    vertices = [f"v_{i}" for i in range(1, n + 1)]
+    bundles: list[EdgeBundle] = []
+    for i in range(1, n):
+        for tag, length in (("a", len_a), ("b", len_b)):
+            mids = [f"{tag}{i}_{j}" for j in range(1, length)]
+            hops = [f"v_{i}"] + mids + [f"v_{i + 1}"]
+            vertices.extend(mids)
+            bundles.extend(EdgeBundle(f"{tag}{i}_{j}e", hops[j], hops[j + 1])
+                           for j in range(length))
+    return build_graph(vertices, bundles)
+
+
+STAGE_ORACLES = {
+    "ladder1": functools.partial(ladder_stage, 1),
+    "ladder2": functools.partial(ladder_stage, 2),
+    "ladder3": functools.partial(ladder_stage, 3),
+    "ray": ray_stage,
+    "forbidden_ladder": functools.partial(forbidden_ladder_stage, 1, 2),
+    "forbidden_ladder_1_3": functools.partial(forbidden_ladder_stage, 1, 3),
+    "forbidden_ladder_2_3": functools.partial(forbidden_ladder_stage, 2, 3),
+}
+
+
 # --- path and reachability checks ----------------------------------------------
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphck import (
+    BoundExceededError,
     BratteliChain,
     ChainError,
     EdgeBundle,
+    Graph,
     InternalCheckError,
     RelativeSpec,
     SpineError,
@@ -28,7 +30,7 @@ from graphck import (
     tail_chain,
     verify_ck,
 )
-from graphck import cli_io
+from graphck import cli_io, graph_model
 from graphck.bratteli import CORNER, TAIL, EmbedReport
 from graphck.ck_matrix import MatrixRep
 
@@ -68,7 +70,7 @@ def test_corner_chain_requires_corner_in_every_stage():
 
 
 def test_corner_chain_needs_spine_or_corner():
-    sg = StagedGraph("anon", lambda n: ladder_family(2).stage(n))
+    sg = StagedGraph("anon", ladder_family(2).delta)
     with pytest.raises(ChainError):
         corner_chain(sg, 3)
     chain = corner_chain(sg, 3, corner_vertex="w_1")
@@ -86,6 +88,26 @@ def test_corner_chain_depth_guard():
         corner_chain(ladder_family(2), 0)
 
 
+def test_chains_are_admitted_before_any_stage_is_built(monkeypatch):
+    # stages 1..4 of ladder2 hold 1 + 4 + 7 + 10 vertices and bundles,
+    # stages 1..5 of the ray 1 + 3 + 5 + 7 + 9
+    monkeypatch.setattr(graph_model, "STAGE_WORK_BOUND", 21)
+    built = []
+    init = Graph.__init__
+
+    def counting(self, vertices, bundles):
+        built.append(len(vertices))
+        init(self, vertices, bundles)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    for chain, sg, depth in ((corner_chain, ladder_family(2), 4),
+                             (tail_chain, ray_family(), 5)):
+        with pytest.raises(BoundExceededError, match="more than 21 vertices"):
+            chain(sg, depth)
+    assert built == []
+    assert len(tail_chain(ray_family(), 4)) == 4
+
+
 def test_tail_chain_ray():
     chain = tail_chain(ray_family(), 5)
     assert chain.kind == TAIL
@@ -100,15 +122,15 @@ def test_tail_chain_rejects_branching_spine():
 
 def test_tail_chain_rejects_misdirected_tail_edge():
     # old sink emits one edge, but onto a side vertex instead of the new sink
-    def build(n):
-        vs = [f"v_{i}" for i in range(1, n + 2)]
-        bs = [EdgeBundle(f"e_{i}", f"v_{i}", f"v_{i + 1}") for i in range(1, n + 1)]
-        if n >= 1:
-            vs.append("z_sink")  # a second sink appears
-            bs.append(EdgeBundle("z", "v_1", "z_sink"))
-        return build_graph(vs, bs)
+    def delta(k):
+        if k == 0:
+            return ["v_1"], []
+        vs, bs = [f"v_{k + 1}"], [EdgeBundle(f"e_{k}", f"v_{k}", f"v_{k + 1}")]
+        if k == 1:  # a second sink appears
+            return vs + ["z_sink"], bs + [EdgeBundle("z", "v_1", "z_sink")]
+        return vs, bs
 
-    sg = StagedGraph("forked", build)
+    sg = StagedGraph("forked", delta)
     with pytest.raises(ChainError):
         tail_chain(sg, 2)
 
@@ -196,15 +218,13 @@ def test_limit_needs_three_nodes():
 def test_tail_chain_with_late_extra_source():
     # a side vertex u feeds the spine at stage 3; multiplicity stays one
     # but the sizes jump by two across that stage
-    def build(n):
-        vs = [f"v_{i}" for i in range(1, n + 1)]
-        bs = [EdgeBundle(f"e_{i}", f"v_{i}", f"v_{i + 1}") for i in range(1, n)]
-        if n >= 3:
-            vs.append("u")
-            bs.append(EdgeBundle("f", "u", "v_3"))
-        return build_graph(vs, bs)
+    def delta(k):
+        vs, bs = ray_family().delta(k)
+        if k == 3:
+            return vs + ["u"], bs + [EdgeBundle("f", "u", "v_3")]
+        return vs, bs
 
-    sg = StagedGraph("ray-plus-source", build)
+    sg = StagedGraph("ray-plus-source", delta)
     chain = tail_chain(sg, 5)
     assert chain.d == (1, 2, 4, 5, 6)
     assert direct_limit_summary(chain).kind == "Compacts"
@@ -240,13 +260,11 @@ def test_embed_check_requires_subgraph():
 
 def test_embed_check_persistent_sink():
     # the small sink stays a sink: units must persist verbatim
-    def build(n):
-        vs = ["a", "b"] + (["c"] if n >= 1 else [])
-        bs = [EdgeBundle("e", "a", "b")] + \
-            ([EdgeBundle("f", "a", "c")] if n >= 1 else [])
-        return build_graph(vs, bs)
+    def delta(k):
+        return {0: (["a", "b"], [EdgeBundle("e", "a", "b")]),
+                1: (["c"], [EdgeBundle("f", "a", "c")])}.get(k, ([], []))
 
-    sg = StagedGraph("side-growth", build)
+    sg = StagedGraph("side-growth", delta)
     report = embed_check(sg.stage(0), rep_of(sg.stage(1)))
     assert report.ok
 

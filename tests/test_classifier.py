@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from graphck import (
     ALEPH0,
+    BoundExceededError,
     CyclicGraphError,
     DichotomyTag,
     EdgeBundle,
@@ -220,6 +221,15 @@ def test_ladder_length_errors():
         ladder_length(g)
 
 
+def test_ladder_length_work_is_admitted_before_the_walk(monkeypatch):
+    g = ladder_family(2).stage(5)  # 5 vertices, 8 bundles: 5 * 13 steps
+    monkeypatch.setattr(classifier, "LADDER_WORK_BOUND", 65)
+    assert ladder_length(g) == 4
+    monkeypatch.setattr(classifier, "LADDER_WORK_BOUND", 64)
+    with pytest.raises(BoundExceededError, match="more than 64 steps"):
+        ladder_length(g)
+
+
 def test_ladder_length_matches_brute():
     for n, arcs in helpers.acyclic_universe(4, 5):
         g = graph_of(n, arcs)
@@ -342,7 +352,7 @@ def test_verdict_unknown_without_certificates():
 
 
 def test_verdict_profileless_staged_is_honest():
-    sg = StagedGraph("mystery", lambda n: line(n + 1))
+    sg = StagedGraph("mystery", helpers.line_delta)
     v = naimark_verdict(sg, depth=4)
     assert v.tag is VerdictTag.UNKNOWN_AT_DEPTH
 
@@ -350,16 +360,16 @@ def test_verdict_profileless_staged_is_honest():
 def test_verdict_exclusive_tail_needs_stage_simplicity():
     # two parallel rays; the profile certifies the v-spine but stages are
     # disconnected, so no certificate should be honored
-    def build(n):
-        vs = [f"v_{i}" for i in range(1, n + 2)] + \
-             [f"u_{i}" for i in range(1, n + 2)]
-        bs = [EdgeBundle(f"e_{i}", f"v_{i}", f"v_{i + 1}") for i in range(1, n + 1)] + \
-             [EdgeBundle(f"f_{i}", f"u_{i}", f"u_{i + 1}") for i in range(1, n + 1)]
-        return build_graph(vs, bs)
+    def delta(k):
+        vs = [f"v_{k + 1}", f"u_{k + 1}"]
+        if k == 0:
+            return vs, []
+        return vs, [EdgeBundle(f"e_{k}", f"v_{k}", f"v_{k + 1}"),
+                    EdgeBundle(f"f_{k}", f"u_{k}", f"u_{k + 1}")]
 
     prof = UniformProfile(min_out_degree=1, spine=lambda i: f"v_{i}",
                           spine_exclusive=True, acyclic_stages=True)
-    sg = StagedGraph("two-rays", build, prof)
+    sg = StagedGraph("two-rays", delta, prof)
     v = naimark_verdict(sg, depth=5)
     assert v.tag is VerdictTag.UNKNOWN_AT_DEPTH
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from graphck import (
     DocumentError,
     EdgeBundle,
+    Graph,
     InternalCheckError,
     Report,
     build_graph,
@@ -29,6 +30,8 @@ from graphck import (
 from graphck import cli_io, ideal_lattice
 from graphck.cli_io import ClaimLine
 from graphck.citations import known_tags
+from graphck.classifier import LADDER_WORK_BOUND
+from graphck.graph_model import STAGE_WORK_BOUND
 from graphck.ideal_lattice import BASIS_SIZE_BOUND
 
 from helpers import g1, graphs, two_sinks
@@ -487,26 +490,67 @@ def test_corner_checks_its_vertex_before_building_the_model(monkeypatch):
     assert (code, text) == (3, "error: unknown vertex 'nope'")
 
 
+def _run_capped(argv):
+    """Run the CLI in a child process capped at 1 GiB of address space and
+    30 s of CPU time."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "graphck", *argv],
+                          capture_output=True, text=True, preexec_fn=limit,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_model_basis_past_the_bound_is_refused_before_it_is_built(tmp_path):
     # 3,000,001 basis paths do not fit in the 1 GiB the process is given
     doc = tmp_path / "wide.json"
     doc.write_text(json.dumps(doc_of(edges=[
         {"id": "e", "src": "v", "dst": "w", "cardinality": "finite:3000000"}])))
-    cap = 1 << 30
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     message = f"error: model basis would hold more than {BASIS_SIZE_BOUND} paths"
     for argv in (["ck"], ["corner", "--vertex", "v"]):
-        run = subprocess.run(
-            [sys.executable, "-m", "graphck", *argv, "--graph", str(doc)],
-            capture_output=True, text=True, preexec_fn=limit, timeout=120,
-            env={**os.environ, "PYTHONPATH": src})
+        run = _run_capped([*argv, "--graph", str(doc)])
         assert run.returncode == 3, run.stderr
         assert run.stderr.strip() == message
         assert "Traceback" not in run.stderr + run.stdout
+
+
+@pytest.mark.parametrize("argv, code, bound", [
+    (["family", "forbidden_ladder", "--depth", "1000000000"], 3, STAGE_WORK_BOUND),
+    (["classify", "--family", "ladder2", "--depth", "1000000000"], 3,
+     STAGE_WORK_BOUND),
+    (["bratteli", "--family", "ladder3", "--depth", "100000"], 3, STAGE_WORK_BOUND),
+    (["ladder", "--family", "ray", "--depth", "1000000"], 3, STAGE_WORK_BOUND),
+    (["ladder", "--family", "ray", "--depth", "3000"], 3, LADDER_WORK_BOUND),
+    (["analyze", "--family", "rose2", "--depth", "100000000"], 0, None),
+], ids=["family", "classify", "bratteli", "ladder", "ladder-walk", "rose"])
+def test_deep_family_commands_end_with_their_exit_code(argv, code, bound):
+    t0 = time.perf_counter()
+    run = _run_capped(argv)
+    assert time.perf_counter() - t0 < 20
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr + run.stdout
+    if code:
+        assert re.fullmatch(r"error: [^\n]*\n", run.stderr), run.stderr
+        assert f"more than {bound} " in run.stderr  # names the bound
+        assert run.stdout == ""
+    else:
+        assert run.stderr == "" and "row class" in run.stdout
+
+
+def test_staged_classify_builds_one_stage_graph(monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def counting(self, vertices, bundles):
+        built.append(len(vertices))
+        init(self, vertices, bundles)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    code, text = run_command(["classify", "--family", "ladder2", "--depth", "400"])
+    assert code == 0 and "verdict: MultipleIrreps" in text
+    assert len(built) <= 2
 
 
 @pytest.mark.parametrize("argv", [

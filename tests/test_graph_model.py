@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from graphck import (
     ALEPH0,
     UNCOUNTABLE,
+    BoundExceededError,
     Cardinality,
     CofinalityResult,
     CyclicGraphError,
@@ -35,6 +36,9 @@ from graphck import (
     topological_order,
 )
 
+from graphck import graph_model
+from graphck.families import builtin_family
+
 import helpers
 from helpers import (
     diamond,
@@ -43,6 +47,7 @@ from helpers import (
     graph_of,
     graphs,
     line,
+    line_delta,
     reaches,
     rose,
     single_loop,
@@ -469,19 +474,38 @@ def test_ladder_stages_monotone_and_checked():
     assert sg.spine_prefix(3) == ("w_1", "w_2", "w_3")
 
 
+@pytest.mark.parametrize("name", sorted(helpers.STAGE_ORACLES))
+def test_staged_families_match_the_from_scratch_builders(name):
+    build = helpers.STAGE_ORACLES[name]
+    sg = builtin_family(name)
+    spine = sg.profile.spine
+    for n in range(31):
+        g = build(n)
+        assert sg.stage(n) == g, (name, n)
+        want = []
+        while spine is not None and spine(len(want) + 1) in g.vertex_set:
+            want.append(spine(len(want) + 1))
+        assert sg.spine_prefix(n) == tuple(want), (name, n)
+    assert sg.stage(30) is sg.stage(30)  # the last stage built is kept
+    assert sg.stage(7) == build(7)  # an earlier one is rebuilt from the prefixes
+
+
 def test_stage_negative_index():
     with pytest.raises(StageError):
         ladder_family(2).stage(-1)
 
 
-def test_staged_monotone_violation():
-    def build(n):
-        return line(n + 1) if n != 2 else rose(1)
-
-    sg = StagedGraph("broken", build)
+@pytest.mark.parametrize("again, message", [
+    ((["v0"], []), "duplicate vertex id"),
+    ((["x"], [EdgeBundle("e0", "x", "v1")]), "duplicate bundle id 'e0'"),
+    (([], [EdgeBundle("e", "v0", "nowhere")]), "unknown dst 'nowhere'"),
+], ids=["vertex", "bundle", "dangling"])
+def test_delta_that_re_adds_an_id_or_dangles_is_refused(again, message):
+    sg = StagedGraph("broken", lambda k: again if k == 2 else line_delta(k))
     sg.stage(1)
-    with pytest.raises(StageError):
-        sg.stage(2)
+    for n in (2, 5):  # the stage that adds it, and every later one
+        with pytest.raises(GraphBuildError, match=message):
+            sg.stage(n)
 
 
 def test_fixed_family_is_its_graph_at_every_stage():
@@ -495,38 +519,43 @@ def test_fixed_family_is_its_graph_at_every_stage():
 
 
 def test_staged_acyclic_claim_violation():
-    def build(n):
-        vs = ["u"] + [f"v{i}" for i in range(n + 1)]
-        bs = [EdgeBundle("l", "u", "u")] + \
-            [EdgeBundle(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n)]
-        return Graph(vs, bs)
+    def delta(k):
+        if k == 0:
+            return ["u", "v0"], [EdgeBundle("l", "u", "u")]
+        return [f"v{k}"], [EdgeBundle(f"e{k - 1}", f"v{k - 1}", f"v{k}")]
 
-    sg = StagedGraph("loopy", build, UniformProfile(acyclic_stages=True))
-    with pytest.raises(StageError):
+    sg = StagedGraph("loopy", delta, UniformProfile(acyclic_stages=True))
+    with pytest.raises(StageError, match="stage 0 is cyclic"):
         sg.stage(0)
+    # the cycle persists, so any later stage is refused as well
+    with pytest.raises(StageError, match="stage 3 is cyclic"):
+        sg.stage(3)
 
 
 def test_staged_min_out_degree_violation():
     # v0 settles as a sink, contradicting the claimed out-degree
-    def build(n):
-        vs = [f"v{i}" for i in range(n + 1)]
-        bs = [EdgeBundle(f"e{i}", f"v{i + 1}", f"v{i}") for i in range(n)]
-        return Graph(vs, bs)
+    def delta(k):
+        return [f"v{k}"], [EdgeBundle(f"e{k - 1}", f"v{k}", f"v{k - 1}")] if k else []
 
-    sg = StagedGraph("starved", build, UniformProfile(min_out_degree=1))
-    with pytest.raises(StageError):
+    sg = StagedGraph("starved", delta, UniformProfile(min_out_degree=1))
+    sg.stage(0)
+    with pytest.raises(StageError, match="'v0' settled with out-degree 0 < 1 "
+                                         "at stage 1"):
         sg.stage(2)
 
 
 def test_staged_spine_join_violation():
-    def build(n):
-        vs = [f"w_{i}" for i in range(1, n + 2)]
-        return Graph(vs, [])  # spine vertices never joined
+    def delta(k):
+        return [f"w_{k + 1}"], []  # spine vertices never joined
 
     prof = UniformProfile(spine=lambda i: f"w_{i}")
-    sg = StagedGraph("split-spine", build, prof)
+    sg = StagedGraph("split-spine", delta, prof)
     sg.stage(0)  # single spine vertex, nothing to join yet
-    with pytest.raises(StageError):
+    with pytest.raises(StageError, match="'w_1'->'w_2' not joined at stage 1"):
+        sg.stage(1)
+    sg = StagedGraph("spineless", line_delta, prof)  # never holds w_1
+    sg.stage(0)
+    with pytest.raises(StageError, match="stage 1 has no spine vertex"):
         sg.stage(1)
 
 
@@ -534,21 +563,51 @@ def test_staged_spine_exclusive_violation():
     # an exclusive spine vertex emits one single edge: parallel ladder
     # rungs, one finite:2 bundle and one aleph0 bundle each break that
     def spine_of(card):
-        def build(n):
-            vs = [f"w_{i}" for i in range(1, n + 1)]
-            return Graph(vs, [EdgeBundle(f"e_{i}", vs[i - 1], vs[i], card)
-                              for i in range(1, n)])
-        return build
+        def delta(k):
+            if k < 2:
+                return [f"w_{k}"] if k else [], []
+            return [f"w_{k}"], [EdgeBundle(f"e_{k - 1}", f"w_{k - 1}", f"w_{k}",
+                                           card)]
+        return delta
 
     prof = UniformProfile(spine=lambda i: f"w_{i}", spine_exclusive=True)
     assert StagedGraph("thin-spine", spine_of(finite(1)), prof).stage(3)
-    for build in (ladder_family(2).stage, spine_of(finite(2)),
+    for delta in (ladder_family(2).delta, spine_of(finite(2)),
                   spine_of(ALEPH0)):
-        sg = StagedGraph("fat-spine", build, prof)
-        with pytest.raises(StageError, match="'w_1' is not exclusive"):
+        sg = StagedGraph("fat-spine", delta, prof)
+        with pytest.raises(StageError, match="'w_1' is not exclusive at stage 2"):
             sg.stage(2)  # the first stage with a consecutive spine pair
 
 
+def test_staged_spine_exclusive_violation_after_settling():
+    # w_1 settles at stage 2 with its one edge; a second edge out of it at
+    # stage 3 breaks exclusivity there
+    def delta(k):
+        vs, bs = ladder_family(1).delta(k)
+        return vs, bs + [EdgeBundle("x", "w_1", "w_3")] if k == 3 else bs
+
+    prof = UniformProfile(spine=lambda i: f"w_{i}", spine_exclusive=True)
+    sg = StagedGraph("late-branch", delta, prof)
+    assert sg.stage(2)
+    with pytest.raises(StageError, match="'w_1' is not exclusive at stage 3"):
+        sg.stage(3)
+
+
+def test_stage_work_is_admitted_before_building(monkeypatch):
+    monkeypatch.setattr(graph_model, "STAGE_WORK_BOUND", 20)
+    message = "ladder2: stage graphs would hold more than 20 vertices and bundles"
+    sg = ladder_family(2)
+    sg.stage(7)  # 7 vertices and 12 bundles
+    with pytest.raises(BoundExceededError, match=message):
+        sg.stage(2)  # 2 vertices and 2 bundles over the 19 already built
+    with pytest.raises(BoundExceededError, match=message):
+        ladder_family(2).stage(10 ** 9)  # refused once the prefix passes 20
+    with pytest.raises(BoundExceededError, match=message):
+        ladder_family(2).admit(range(1, 5))  # 1 + 4 + 7 + 10 in all
+    assert StagedGraph.fixed("rose", rose(2)).stage(10 ** 9) == rose(2)
+
+
 def test_spine_prefix_without_profile():
-    sg = StagedGraph("bare", lambda n: line(n + 1))
+    sg = StagedGraph("bare", line_delta)
     assert sg.spine_prefix(3) == ()
+    assert sg.stage(3) == line(4)
