@@ -13,6 +13,14 @@ Two chain shapes are supported:
   along an exclusive tail; every inclusion has multiplicity one and sizes
   are total path counts into the stage's sink.
 
+Both chains are read off the family's deltas: one running count of paths
+per vertex, extended over each plain delta (``graph_model.Step``) in time
+proportional to it, so a chain of depth n costs the size of stage n and
+builds no graph.  A delta that is not plain (a bundle landing on an older
+vertex, an infinite bundle, a cycle, a bad id) builds its stage, with every
+check a stage build makes, and the counts restart from it.  A chain is
+admitted on the size of its last stage.
+
 The limit is only named when the chain's own numbers certify it (constant
 multiplicities at least two, or strictly increasing sizes); anything else
 comes back ``Other`` with the failed criterion spelled out.
@@ -26,6 +34,7 @@ from .errors import ChainError, SpineError, StageError
 from .graph_model import (
     Graph,
     StagedGraph,
+    Step,
     count_paths_ending,
     count_paths_from,
     sinks,
@@ -71,6 +80,28 @@ class BratteliChain:
         return len(self.d)
 
 
+def _spread(step: Step, counts: dict[str, int], fresh: int) -> dict[str, int]:
+    """Extend path counts over one plain delta: each new vertex starts at
+    ``fresh`` unless it is counted already, then each bundle, in the step's
+    order, adds its source's count times its cardinality to its range.
+    No count at an older vertex changes, so this is the whole update."""
+    for v in step.vertices:
+        counts.setdefault(v, fresh)
+    for b in step.bundles:
+        if c := counts.get(b.src):
+            counts[b.dst] += c * b.cardinality.count
+    return counts
+
+
+def _built_unless_plain(sg: StagedGraph, n: int, step: Step) -> Graph | None:
+    """None when stage n reads off its plain delta; otherwise stage n,
+    built (with its checks).  Stage 0 is never built, so stage 1 is read
+    only when stage 0's delta is plain too."""
+    if step.bundles is None or n == 1 and sg.step(0).bundles is None:
+        return sg.stage(n)
+    return None
+
+
 def corner_chain(sg: StagedGraph, depth: int,
                  corner_vertex: str | None = None) -> BratteliChain:
     """Chain of corner dimensions at a fixed vertex over stages 1..depth.
@@ -82,32 +113,45 @@ def corner_chain(sg: StagedGraph, depth: int,
     from the old sink to the new one; if the product law fails, paths
     bypass the spine and the corner compressions do not form a chain of
     single blocks.
+
+    Admitted on stage ``depth``'s size.  Counts from the corner are kept
+    delta by delta, and the old sink's paths to the new one all lie in the
+    new delta, so a plain delta costs its own size and builds nothing; a
+    delta that is not plain builds its stage and counts afresh there.
     """
     if depth < 1:
         raise ChainError("corner chain needs depth >= 1")
-    sg.admit(range(1, depth + 1))
+    sg.grow(depth)
     if corner_vertex is None:
         prefix = sg.spine_prefix(1)
         if not prefix:
             raise ChainError(f"{sg.name}: no spine; pass corner_vertex")
         corner_vertex = prefix[0]
+    counts = {corner_vertex: 1}  # paths from the corner, as far as read
+    if (first := sg.step(0)).bundles is not None:
+        _spread(first, counts, 0)
     d: list[int] = []
     mults: list[int] = []
     prev_sink: str | None = None
     for n in range(1, depth + 1):
-        g = sg.stage(n)
-        sk = sinks(g)
-        if len(sk) != 1:
+        step = sg.step(n)
+        g = _built_unless_plain(sg, n, step)
+        if step.sinks != 1:
             raise ChainError(
-                f"{sg.name}: stage {n} has {len(sk)} sinks; corner chains "
+                f"{sg.name}: stage {n} has {step.sinks} sinks; corner chains "
                 "need exactly one")
-        t = sk[0]
-        if corner_vertex not in g.vertex_set:
+        t = step.sink
+        if n == 1 and corner_vertex not in sg.vertices(1):  # stages only grow
             raise ChainError(f"{sg.name}: corner vertex {corner_vertex!r} "
                              f"missing from stage {n}")
-        d.append(count_paths_from(g, corner_vertex)[t])
+        if g is None:
+            d.append(_spread(step, counts, 0)[t])
+        else:
+            counts = count_paths_from(g, corner_vertex)
+            d.append(counts[t])
         if prev_sink is not None:
-            mults.append(count_paths_from(g, prev_sink)[t])
+            mults.append(_spread(step, {prev_sink: 1}, 0)[t] if g is None
+                         else count_paths_from(g, prev_sink)[t])
             if d[-1] != mults[-1] * d[-2]:
                 raise ChainError(
                     f"{sg.name}: stage {n} corner size {d[-1]} is not "
@@ -124,23 +168,35 @@ def tail_chain(sg: StagedGraph, depth: int) -> BratteliChain:
     Each stage must have a single sink, and each old sink must emit exactly
     one single edge in the next stage, landing on the new sink — that is
     what makes every inclusion have multiplicity one.
+
+    Admitted on stage ``depth``'s size.  Paths ending at each vertex are
+    counted delta by delta, and an old sink's edges all lie in the new
+    delta, so a plain delta costs its own size and builds nothing; a delta
+    that is not plain builds its stage and counts afresh there.
     """
     if depth < 1:
         raise ChainError("tail chain needs depth >= 1")
-    sg.admit(range(1, depth + 1))
+    sg.grow(depth)
+    counts: dict[str, int] = {}  # paths ending at each vertex, as far as read
+    if (first := sg.step(0)).bundles is not None:
+        _spread(first, counts, 1)
     d: list[int] = []
     prev_sink: str | None = None
     for n in range(1, depth + 1):
-        g = sg.stage(n)
-        sk = sinks(g)
-        if len(sk) != 1:
+        step = sg.step(n)
+        g = _built_unless_plain(sg, n, step)
+        if step.sinks != 1:
             raise ChainError(
-                f"{sg.name}: stage {n} has {len(sk)} sinks; tail chains "
+                f"{sg.name}: stage {n} has {step.sinks} sinks; tail chains "
                 "need exactly one")
-        t = sk[0]
+        t = step.sink
         if prev_sink is not None:
-            outs = g.out_bundles(prev_sink)
-            edges = g.out_degree(prev_sink)
+            if g is None:
+                outs = [b for b in step.bundles if b.src == prev_sink]
+                edges = sum(b.cardinality.count for b in outs)
+            else:
+                outs = g.out_bundles(prev_sink)
+                edges = g.out_degree(prev_sink)
             if len(outs) != 1 or edges != 1:
                 raise SpineError(
                     f"{sg.name}: old sink {prev_sink!r} emits "
@@ -150,7 +206,8 @@ def tail_chain(sg: StagedGraph, depth: int) -> BratteliChain:
                 raise ChainError(
                     f"{sg.name}: tail edge {outs[0].id!r} lands on "
                     f"{outs[0].dst!r}, not the stage-{n} sink {t!r}")
-        d.append(count_paths_ending(g)[t])
+        counts = _spread(step, counts, 1) if g is None else count_paths_ending(g)
+        d.append(counts[t])
         prev_sink = t
     return BratteliChain(TAIL, tuple(d), tuple([1] * (len(d) - 1)),
                          label=sg.name)

@@ -45,6 +45,11 @@ def _rung_delta(vertex: str, parallel: int):
     return delta
 
 
+def _rung_size(parallel: int):
+    """``delta_size`` of ``_rung_delta(vertex, parallel)``."""
+    return lambda k: 1 + parallel if k >= 2 else k
+
+
 def ladder_family(parallel: int) -> StagedGraph:
     """Stage n: vertices w_1..w_n, with ``parallel`` edges from each w_i to
     w_{i+1}."""
@@ -55,8 +60,8 @@ def ladder_family(parallel: int) -> StagedGraph:
     profile = UniformProfile(min_out_degree=parallel,
                              spine=lambda i: f"w_{i}",
                              acyclic_stages=True)
-    return StagedGraph(f"ladder{parallel}", _rung_delta("w", parallel), profile,
-                       chain_kind="corner")
+    return StagedGraph(f"ladder{parallel}", _rung_delta("w", parallel),
+                       _rung_size(parallel), profile, chain_kind="corner")
 
 
 def ray_family() -> StagedGraph:
@@ -65,7 +70,8 @@ def ray_family() -> StagedGraph:
                              spine=lambda i: f"v_{i}",
                              spine_exclusive=True,
                              acyclic_stages=True)
-    return StagedGraph("ray", _rung_delta("v", 1), profile, chain_kind="tail")
+    return StagedGraph("ray", _rung_delta("v", 1), _rung_size(1), profile,
+                       chain_kind="tail")
 
 
 def forbidden_ladder_family(len_a: int = 1, len_b: int = 2) -> StagedGraph:
@@ -88,10 +94,15 @@ def forbidden_ladder_family(len_a: int = 1, len_b: int = 2) -> StagedGraph:
                         for j in range(length)]
         return vertices, bundles
 
+    def delta_size(k: int) -> int:
+        # v_k, then len - 1 intermediate vertices and len edges per path
+        return 2 * (len_a + len_b) - 1 if k >= 2 else k
+
     # the spine is only edge-joined when one of the two rung paths is direct
     spine = (lambda i: f"v_{i}") if min(len_a, len_b) == 1 else None
     profile = UniformProfile(min_out_degree=1, spine=spine, acyclic_stages=True)
-    return StagedGraph(f"forbidden_ladder_{len_a}_{len_b}", delta, profile)
+    return StagedGraph(f"forbidden_ladder_{len_a}_{len_b}", delta, delta_size,
+                       profile)
 
 
 def rose_family(loops: int) -> StagedGraph:

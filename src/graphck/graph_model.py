@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     BoundExceededError,
@@ -595,7 +595,8 @@ def cofinal(g: Graph) -> CofinalityResult:
 
 # --- staged graphs -------------------------------------------------------------
 
-# vertices plus bundles, summed over every stage graph one family builds
+# vertices plus bundles over every stage graph one family builds, plus the
+# stage a request reads
 STAGE_WORK_BOUND = 1 << 18
 
 
@@ -615,7 +616,9 @@ class UniformProfile:
     * ``spine_exclusive``: each non-frontier spine vertex emits exactly one
       edge, the one to the next spine vertex.
     * ``acyclic_stages``: every stage is acyclic.  Checked on each stage
-      built: a cycle persists, so that certifies every stage below it.
+      built: a cycle persists, so that certifies every stage below it.  A
+      chain builds no stage it reads off a plain delta (see ``Step``): that
+      stage is acyclic whenever the one before it is.
     """
 
     min_out_degree: int | None = None
@@ -624,29 +627,56 @@ class UniformProfile:
     acyclic_stages: bool = False
 
 
+class Step(NamedTuple):
+    """What stage n adds to stage n-1, as a chain reads it.
+
+    A delta is *plain* when its vertex and bundle ids are new, every bundle
+    is finite, starts at a known vertex and lands on a vertex new in the
+    delta, and the delta's own subgraph is acyclic.  Then no path ending at
+    an older vertex changes, and stage n is valid and acyclic whenever
+    stage n-1 is.
+    """
+
+    vertices: list[str]  # the delta's vertices
+    # the delta's bundles, each after every bundle into its source, so one
+    # pass extends path counts; None when the delta is not plain
+    bundles: tuple[EdgeBundle, ...] | None
+    sinks: int  # how many sinks stage n has
+    sink: str | None  # its sink, when it has exactly one
+
+
 class StagedGraph:
     """A monotone family of finite stages standing in for an infinite graph.
 
     ``delta(k)`` gives the vertices and bundles stage k adds to stage k-1,
-    so inclusion holds by construction.  Deltas are appended, and checked
-    against the profile, as stages are asked for.  ``stage(n)`` builds one
-    graph from their prefixes, which validates them, and keeps the last
-    one built.  A constant family (``fixed``) is one graph at every stage.
+    so inclusion holds by construction, and ``delta_size(k)`` how many
+    there are, so a request is admitted before any delta is made.  Deltas
+    are appended, and checked against the profile, as stages are asked
+    for.  ``stage(n)`` builds one graph from their prefixes, which
+    validates them, and keeps the last one built; ``step(n)`` reads a delta
+    without building anything.  A constant family (``fixed``) is one graph
+    at every stage.
     """
 
     def __init__(self, name: str, delta: Callable[[int], tuple],
+                 delta_size: Callable[[int], int],
                  profile: UniformProfile | None = None, *,
                  chain_kind: str | None = None):
         self.name = name
         self.delta = delta
+        self.delta_size = delta_size
         self.profile = profile or UniformProfile()
         self.constant = False
         self.chain_kind = chain_kind  # "corner" | "tail" | None
         self._vertices: list[str] = []
         self._bundles: list[EdgeBundle] = []
-        # stage k's vertex, bundle and spine prefix lengths
-        self._ends: list[tuple[int, int, int]] = []
+        # stage k's vertex, bundle and spine prefix lengths, then its Step's
+        # sink count, sink and bundles
+        self._ends: list[tuple] = []
+        self._sizes = [0]  # _sizes[k + 1]: vertices plus bundles of stage k
         self._out: dict[str, list[EdgeBundle]] = {}  # each vertex's bundles so far
+        self._ids: set[str] = set()  # bundle ids so far
+        self._sinks: set[str] = set()
         self._spine: list[str] = []
         self._settled: set[str] = set()  # spine vertices with a successor
         self._built = 0  # vertices plus bundles over every graph built
@@ -656,7 +686,9 @@ class StagedGraph:
     def fixed(name: str, g: Graph) -> "StagedGraph":
         """The constant family whose every stage is ``g``."""
         sg = StagedGraph(name, lambda k: (g.vertices, g.bundles) if k == 0
-                         else ((), ()))
+                         else ((), ()),
+                         lambda k: len(g.vertices) + len(g.bundles) if k == 0
+                         else 0)
         sg.constant, sg._last = True, (0, g)
         return sg
 
@@ -665,9 +697,9 @@ class StagedGraph:
             raise StageError("stage index must be >= 0")
         if self.constant or (self._last and self._last[0] == n):
             return self._last[1]
-        self.admit((n,))
-        nv, nb, _ = self._ends[n]
-        g = Graph(self._vertices[:nv], self._bundles[:nb])
+        self.grow(n)
+        nv, nb = self._ends[n][:2]
+        g = Graph(self.vertices(n), self._bundles[:nb])
         self._built += nv + nb
         if self.profile.acyclic_stages and has_cycle(g):
             raise StageError(f"{self.name}: stage {n} is cyclic "
@@ -675,35 +707,55 @@ class StagedGraph:
         self._last = (n, g)
         return g
 
-    def admit(self, stages: Iterable[int]) -> None:
-        """Refuse, before any is built, stages that would take this family's
-        graphs past ``STAGE_WORK_BOUND`` vertices and bundles in all.  Stages
-        only grow, so appending stops at the first one that alone passes."""
-        total = self._built
-        for n in () if self.constant else stages:
-            if n < 0:
-                raise StageError("stage index must be >= 0")
-            while (k := len(self._ends)) <= n:
-                self._append(k)
-                if total + sum(self._ends[k][:2]) > STAGE_WORK_BOUND:
-                    break
-            total += sum(self._ends[min(n, k)][:2])
-            if total > STAGE_WORK_BOUND:
-                raise BoundExceededError(
-                    f"{self.name}: stage graphs would hold more than "
-                    f"{STAGE_WORK_BOUND} vertices and bundles")
+    def admit(self, n: int) -> None:
+        """Refuse, before any delta is made, a request that would take this
+        family past ``STAGE_WORK_BOUND`` vertices and bundles: every graph
+        built so far plus stage n.  Stage sizes are summed from
+        ``delta_size`` only until they pass the bound."""
+        if n < 0:
+            raise StageError("stage index must be >= 0")
+        if self.constant:
+            return
+        sizes, room = self._sizes, STAGE_WORK_BOUND - self._built
+        while len(sizes) <= n + 1 and sizes[-1] <= room:
+            sizes.append(sizes[-1] + self.delta_size(len(sizes) - 1))
+        if sizes[min(n + 1, len(sizes) - 1)] > room:
+            raise BoundExceededError(
+                f"{self.name}: stage graphs would hold more than "
+                f"{STAGE_WORK_BOUND} vertices and bundles")
+
+    def grow(self, n: int) -> None:
+        """Admit stage n, then append the deltas up to it."""
+        self.admit(n)
+        while (k := len(self._ends)) <= n:
+            self._append(k)
 
     def spine_prefix(self, n: int) -> tuple[str, ...]:
         """Spine vertices present in stage n, in spine order."""
         if self.profile.spine is None:
             return ()
-        self.admit((n,))
+        self.grow(n)
         return tuple(self._spine[:self._ends[n][2]])
+
+    def vertices(self, n: int) -> list[str]:
+        """Stage n's vertices, in order; stage n must be grown."""
+        return self._vertices[:self._ends[n][0]]
+
+    def step(self, n: int) -> Step:
+        """Stage n's delta as a chain reads it; stage n must be grown."""
+        start = self._ends[n - 1][0] if n else 0
+        nv, _, _, sinks, sink, bundles = self._ends[n]
+        return Step(self._vertices[start:nv], bundles, sinks, sink)
 
     def _append(self, k: int) -> None:
         """Append stage k's delta, checking each claim it could break."""
         prof, out, spine = self.profile, self._out, self._spine
         vertices, bundles = self.delta(k)
+        if (size := len(vertices) + len(bundles)) != self.delta_size(k):
+            raise StageError(f"{self.name}: delta {k} holds {size} vertices "
+                             f"and bundles, not the {self.delta_size(k)} "
+                             "its size function gives")
+        order = self._plain_order(vertices, bundles)
         fresh = self._vertices[self._ends[k - 2][0] if k > 1 else 0:]  # stage k-1's
         for v in vertices:
             out.setdefault(v, [])
@@ -732,6 +784,45 @@ class StagedGraph:
                                            or outs[0].cardinality.count != 1):
                 raise StageError(f"{self.name}: spine vertex {b.src!r} "
                                  f"is not exclusive at stage {k}")
+        self._ids.update(b.id for b in bundles)
+        sinks = self._sinks
+        sinks.update(vertices)
+        sinks.difference_update(b.src for b in bundles)
         self._vertices += vertices
         self._bundles += bundles
-        self._ends.append((len(self._vertices), len(self._bundles), len(spine)))
+        self._ends.append((len(self._vertices), len(self._bundles), len(spine),
+                           len(sinks), next(iter(sinks)) if len(sinks) == 1
+                           else None, order))
+
+    def _plain_order(self, vertices: Sequence[str],
+                     bundles: Sequence[EdgeBundle]) -> tuple[EdgeBundle, ...] | None:
+        """A plain delta's bundles, each after every bundle into its source
+        (bundles from older vertices first, then Kahn's order over the
+        delta's own subgraph); None when the delta is not plain.  Read
+        before the delta is appended."""
+        known, ids = self._out, self._ids
+        waiting = dict.fromkeys(vertices, 0)  # unplaced in-delta bundles into each
+        if len(waiting) < len(vertices) or not known.keys().isdisjoint(waiting):
+            return None
+        order: list[EdgeBundle] = []
+        inner: dict[str, list[EdgeBundle]] = {}
+        own: set[str] = set()  # the delta's bundle ids
+        for b in bundles:
+            if (b.dst not in waiting or b.id in ids or b.id in own
+                    or not b.cardinality.is_finite
+                    or b.src not in waiting and b.src not in known):
+                return None
+            own.add(b.id)
+            if b.src in waiting:
+                waiting[b.dst] += 1
+                inner.setdefault(b.src, []).append(b)
+            else:
+                order.append(b)
+        ready = [v for v in vertices if not waiting[v]]
+        for v in ready:  # grows as bundles are placed
+            for b in inner.get(v, ()):
+                order.append(b)
+                waiting[b.dst] -= 1
+                if not waiting[b.dst]:
+                    ready.append(b.dst)
+        return tuple(order) if len(ready) == len(vertices) else None

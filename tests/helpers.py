@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from graphck import (
     ALEPH0,
     UNCOUNTABLE,
+    BratteliChain,
+    ChainError,
     CkReport,
     CyclicGraphError,
     EdgeBundle,
@@ -23,7 +25,11 @@ from graphck import (
     NotHereditaryError,
     Path,
     RelativeSpec,
+    SpineError,
+    StagedGraph,
     build_graph,
+    count_paths_ending,
+    count_paths_from,
     enumerate_paths,
     exact_rank,
     finite,
@@ -31,7 +37,9 @@ from graphck import (
     is_hereditary,
     reachable_set,
     regular_vertices,
+    sinks,
 )
+from graphck.bratteli import CORNER, TAIL
 from graphck.ideal_lattice import lattice_order
 from graphck.ck_matrix import (
     GapEntry,
@@ -86,6 +94,11 @@ def line_delta(k: int):
     return [f"v{k}"], [EdgeBundle(f"e{k - 1}", f"v{k - 1}", f"v{k}")] if k else []
 
 
+def size_of(delta):
+    """The ``delta_size`` of a test family: it makes the delta and counts."""
+    return lambda k: sum(map(len, delta(k)))
+
+
 # --- family stages built from scratch --------------------------------------------
 #
 # The builtin families grow by deltas; these build each stage whole from the
@@ -133,6 +146,81 @@ STAGE_ORACLES = {
     "forbidden_ladder_1_3": functools.partial(forbidden_ladder_stage, 1, 3),
     "forbidden_ladder_2_3": functools.partial(forbidden_ladder_stage, 2, 3),
 }
+
+
+# --- chains built stage by stage ------------------------------------------------
+#
+# The route ``corner_chain`` and ``tail_chain`` replaced: build every stage
+# 1..depth and count its paths afresh.  The deltas' route must match it,
+# answer for answer and error for error.
+
+
+def stagewise_corner_chain(sg: StagedGraph, depth: int,
+                           corner_vertex: str | None = None) -> BratteliChain:
+    if depth < 1:
+        raise ChainError("corner chain needs depth >= 1")
+    sg.grow(depth)
+    if corner_vertex is None:
+        prefix = sg.spine_prefix(1)
+        if not prefix:
+            raise ChainError(f"{sg.name}: no spine; pass corner_vertex")
+        corner_vertex = prefix[0]
+    d: list[int] = []
+    mults: list[int] = []
+    prev_sink: str | None = None
+    for n in range(1, depth + 1):
+        g = sg.stage(n)
+        sk = sinks(g)
+        if len(sk) != 1:
+            raise ChainError(
+                f"{sg.name}: stage {n} has {len(sk)} sinks; corner chains "
+                "need exactly one")
+        t = sk[0]
+        if corner_vertex not in g.vertex_set:
+            raise ChainError(f"{sg.name}: corner vertex {corner_vertex!r} "
+                             f"missing from stage {n}")
+        d.append(count_paths_from(g, corner_vertex)[t])
+        if prev_sink is not None:
+            mults.append(count_paths_from(g, prev_sink)[t])
+            if d[-1] != mults[-1] * d[-2]:
+                raise ChainError(
+                    f"{sg.name}: stage {n} corner size {d[-1]} is not "
+                    f"{mults[-1]} * {d[-2]}; paths bypass the spine")
+        prev_sink = t
+    return BratteliChain(CORNER, tuple(d), tuple(mults),
+                         corner=corner_vertex, label=sg.name)
+
+
+def stagewise_tail_chain(sg: StagedGraph, depth: int) -> BratteliChain:
+    if depth < 1:
+        raise ChainError("tail chain needs depth >= 1")
+    sg.grow(depth)
+    d: list[int] = []
+    prev_sink: str | None = None
+    for n in range(1, depth + 1):
+        g = sg.stage(n)
+        sk = sinks(g)
+        if len(sk) != 1:
+            raise ChainError(
+                f"{sg.name}: stage {n} has {len(sk)} sinks; tail chains "
+                "need exactly one")
+        t = sk[0]
+        if prev_sink is not None:
+            outs = g.out_bundles(prev_sink)
+            edges = g.out_degree(prev_sink)
+            if len(outs) != 1 or edges != 1:
+                raise SpineError(
+                    f"{sg.name}: old sink {prev_sink!r} emits "
+                    f"{edges if edges is not None else 'infinitely many'} "
+                    f"edges at stage {n}; a tail extends by exactly one")
+            if outs[0].dst != t:
+                raise ChainError(
+                    f"{sg.name}: tail edge {outs[0].id!r} lands on "
+                    f"{outs[0].dst!r}, not the stage-{n} sink {t!r}")
+        d.append(count_paths_ending(g)[t])
+        prev_sink = t
+    return BratteliChain(TAIL, tuple(d), tuple([1] * (len(d) - 1)),
+                         label=sg.name)
 
 
 # --- path and reachability checks ----------------------------------------------

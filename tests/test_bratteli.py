@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphck import (
+    ALEPH0,
     BoundExceededError,
     BratteliChain,
     ChainError,
+    CyclicGraphError,
     EdgeBundle,
     Graph,
+    GraphAlgebraError,
+    GraphBuildError,
+    InfiniteBundleError,
     InternalCheckError,
     RelativeSpec,
     SpineError,
@@ -20,6 +25,7 @@ from graphck import (
     build_ck_family,
     build_graph,
     corner_chain,
+    finite,
     direct_limit_summary,
     embed_check,
     forbidden_ladder_family,
@@ -32,10 +38,11 @@ from graphck import (
 )
 from graphck import cli_io, graph_model
 from graphck.bratteli import CORNER, TAIL, EmbedReport
+from graphck.families import builtin_family
 from graphck.ck_matrix import MatrixRep
 
 import helpers
-from helpers import graphs, product_embed_check, two_sinks
+from helpers import graphs, product_embed_check, size_of, two_sinks
 
 
 # --- chain construction -------------------------------------------------------
@@ -70,7 +77,8 @@ def test_corner_chain_requires_corner_in_every_stage():
 
 
 def test_corner_chain_needs_spine_or_corner():
-    sg = StagedGraph("anon", ladder_family(2).delta)
+    sg = StagedGraph("anon", ladder_family(2).delta,
+                     ladder_family(2).delta_size)
     with pytest.raises(ChainError):
         corner_chain(sg, 3)
     chain = corner_chain(sg, 3, corner_vertex="w_1")
@@ -88,10 +96,8 @@ def test_corner_chain_depth_guard():
         corner_chain(ladder_family(2), 0)
 
 
-def test_chains_are_admitted_before_any_stage_is_built(monkeypatch):
-    # stages 1..4 of ladder2 hold 1 + 4 + 7 + 10 vertices and bundles,
-    # stages 1..5 of the ray 1 + 3 + 5 + 7 + 9
-    monkeypatch.setattr(graph_model, "STAGE_WORK_BOUND", 21)
+def _count_graphs(monkeypatch) -> list[int]:
+    """Record the vertex count of every ``Graph`` built from now on."""
     built = []
     init = Graph.__init__
 
@@ -100,12 +106,32 @@ def test_chains_are_admitted_before_any_stage_is_built(monkeypatch):
         init(self, vertices, bundles)
 
     monkeypatch.setattr(Graph, "__init__", counting)
-    for chain, sg, depth in ((corner_chain, ladder_family(2), 4),
-                             (tail_chain, ray_family(), 5)):
+    return built
+
+
+def test_chains_are_admitted_before_any_stage_is_built(monkeypatch):
+    # stage n of ladder2 holds 3n - 2 vertices and bundles, of the ray 2n - 1
+    monkeypatch.setattr(graph_model, "STAGE_WORK_BOUND", 21)
+    built = _count_graphs(monkeypatch)
+    # stages 1..4 of ladder2 sum to 22 and 1..5 of the ray to 25, but the
+    # last stages hold 10 and 9
+    assert corner_chain(ladder_family(2), 4).d == (1, 2, 4, 8)
+    assert tail_chain(ray_family(), 5).d == (1, 2, 3, 4, 5)
+    # stage 8 of ladder2 holds 22, stage 12 of the ray 23
+    for chain, sg, depth in ((corner_chain, ladder_family(2), 8),
+                             (tail_chain, ray_family(), 12)):
         with pytest.raises(BoundExceededError, match="more than 21 vertices"):
             chain(sg, depth)
     assert built == []
-    assert len(tail_chain(ray_family(), 4)) == 4
+
+
+def test_chains_on_plain_deltas_build_no_graph(monkeypatch):
+    built = _count_graphs(monkeypatch)
+    assert len(tail_chain(ray_family(), 40)) == 40
+    assert len(corner_chain(ladder_family(3), 40)) == 40
+    assert len(corner_chain(forbidden_ladder_family(2, 3), 40,
+                            corner_vertex="v_1")) == 40
+    assert built == []
 
 
 def test_tail_chain_ray():
@@ -122,17 +148,8 @@ def test_tail_chain_rejects_branching_spine():
 
 def test_tail_chain_rejects_misdirected_tail_edge():
     # old sink emits one edge, but onto a side vertex instead of the new sink
-    def delta(k):
-        if k == 0:
-            return ["v_1"], []
-        vs, bs = [f"v_{k + 1}"], [EdgeBundle(f"e_{k}", f"v_{k}", f"v_{k + 1}")]
-        if k == 1:  # a second sink appears
-            return vs + ["z_sink"], bs + [EdgeBundle("z", "v_1", "z_sink")]
-        return vs, bs
-
-    sg = StagedGraph("forked", delta)
     with pytest.raises(ChainError):
-        tail_chain(sg, 2)
+        tail_chain(_custom("forked", _forked)(), 2)
 
 
 def test_chain_law_validation():
@@ -150,6 +167,196 @@ def test_chain_law_validation():
         BratteliChain(CORNER, (1, 2), (2, 2))  # one multiplicity too many
     with pytest.raises(ChainError):
         BratteliChain(CORNER, (1, 0), (0,))  # sizes must be positive
+
+
+# --- the stage-by-stage oracle -------------------------------------------------------
+
+
+def _outcome(chain, sg, depth, *corner):
+    """A chain, or the type and text of the error it raised."""
+    try:
+        return chain(sg, depth, *corner)
+    except GraphAlgebraError as e:
+        return type(e), str(e)
+
+
+_ROUTES = {corner_chain: helpers.stagewise_corner_chain,
+           tail_chain: helpers.stagewise_tail_chain}
+
+
+@pytest.mark.parametrize("name, chain", [
+    ("ladder1", corner_chain), ("ladder2", corner_chain),
+    ("ladder3", corner_chain), ("ray", tail_chain),
+], ids=["ladder1", "ladder2", "ladder3", "ray"])
+def test_chains_match_the_stagewise_route(name, chain):
+    for depth in range(1, 61):
+        want = _ROUTES[chain](builtin_family(name), depth)
+        assert chain(builtin_family(name), depth) == want, depth
+
+
+@pytest.mark.parametrize("name", sorted(helpers.STAGE_ORACLES))
+def test_chains_match_the_stagewise_route_in_every_pairing(name):
+    # each builtin family through both chains, at the corner of its first
+    # spine vertex or v_1: some answer, some refuse
+    corner = builtin_family(name).profile.spine or (lambda i: f"v_{i}")
+    for depth in (*range(1, 13), 20, 40):
+        for chain, args in ((corner_chain, (corner(1),)), (tail_chain, ())):
+            want = _outcome(_ROUTES[chain], builtin_family(name), depth, *args)
+            assert _outcome(chain, builtin_family(name), depth, *args) == want, \
+                (chain.__name__, depth)
+
+
+def _ray_plus(extra):
+    """The ray's deltas, with ``extra[k]``'s vertices and bundles added to
+    delta k."""
+    ray = ray_family()
+
+    def delta(k):
+        vs, bs = ray.delta(k)
+        more_vs, more_bs = extra.get(k, ([], []))
+        return vs + more_vs, bs + more_bs
+
+    return delta
+
+
+def _custom(name, delta, profile=None):
+    return lambda: StagedGraph(name, delta, size_of(delta), profile)
+
+
+_LATE_SOURCE = _custom("ray-plus-source", _ray_plus(
+    {3: (["u"], [EdgeBundle("f", "u", "v_3")])}))
+
+
+def _forked(k):
+    # the old sink v_1 also feeds a side sink
+    if k == 0:
+        return ["v_1"], []
+    vs, bs = [f"v_{k + 1}"], [EdgeBundle(f"e_{k}", f"v_{k}", f"v_{k + 1}")]
+    if k == 1:
+        return vs + ["z_sink"], bs + [EdgeBundle("z", "v_1", "z_sink")]
+    return vs, bs
+
+
+def _rungs_backwards(k):
+    # forbidden_ladder_2_3's deltas, each path's hops listed last to first,
+    # so counting in the given order would miss paths
+    vertices, bundles = forbidden_ladder_family(2, 3).delta(k)
+    return vertices, bundles[::-1]
+
+
+def _double_rungs(k):
+    # ladder1 with each rung one finite:2 bundle
+    vertices, bundles = ladder_family(1).delta(k)
+    return vertices, [EdgeBundle(b.id, b.src, b.dst, finite(2)) for b in bundles]
+
+
+def _two_hop_tail(k):
+    # the old sink's one edge lands on a vertex that feeds the new sink
+    if k < 2:
+        return [f"v_{k}"] if k else [], []
+    return [f"x_{k}", f"v_{k}"], [EdgeBundle(f"e_{k}", f"v_{k - 1}", f"x_{k}"),
+                                  EdgeBundle(f"f_{k}", f"x_{k}", f"v_{k}")]
+
+
+def _stray_base(k):
+    # delta 0 already holds an infinite bundle, so stage 1 is built
+    if k == 0:
+        return ["a", "v_1"], [EdgeBundle("i", "a", "v_1", ALEPH0)]
+    return ray_family().delta(k + 1)
+
+
+# (id, family, chain, depth, corner args, what both routes give)
+_CUSTOM = [
+    ("line-from-stage-0", _custom("line", helpers.line_delta), tail_chain, 5,
+     (), BratteliChain),
+    ("line-from-stage-0-corner", _custom("line", helpers.line_delta),
+     corner_chain, 5, ("v0",), BratteliChain),
+    ("finite-2-bundles", _custom("double", _double_rungs), corner_chain, 6,
+     ("w_1",), BratteliChain),
+    ("finite-2-bundles-tail", _custom("double", _double_rungs), tail_chain, 6,
+     (), SpineError),
+    ("bypass", _custom("bypass", _ray_plus(
+        {3: ([], [EdgeBundle("x", "v_1", "v_3")])})), corner_chain, 5,
+     ("v_1",), ChainError),
+    ("two-hop-tail", _custom("two-hop", _two_hop_tail), tail_chain, 4, (),
+     ChainError),
+    ("infinite-stage-0", _custom("stray", _stray_base), tail_chain, 4, (),
+     InfiniteBundleError),
+    ("infinite-stage-0-corner", _custom("stray", _stray_base), corner_chain, 4,
+     ("v_1",), BratteliChain),
+    ("re-added-vertex", _custom("ray-again", _ray_plus(
+        {3: (["v_1"], [])})), tail_chain, 4, (), GraphBuildError),
+    ("unknown-source", _custom("ray-ghost", _ray_plus(
+        {3: ([], [EdgeBundle("x", "ghost", "v_3")])})), tail_chain, 4, (),
+     GraphBuildError),
+    ("bundles-out-of-order", _custom("backwards", _rungs_backwards),
+     corner_chain, 8, ("v_1",), BratteliChain),
+    ("multiple-sinks", lambda: StagedGraph.fixed("pair", two_sinks()),
+     corner_chain, 2, ("v",), ChainError),
+    ("multiple-sinks-tail", lambda: StagedGraph.fixed("pair", two_sinks()),
+     tail_chain, 2, (), ChainError),
+    ("no-spine-or-corner", _custom("anon", ladder_family(2).delta),
+     corner_chain, 3, (), ChainError),
+    ("no-spine-given-corner", _custom("anon", ladder_family(2).delta),
+     corner_chain, 3, ("w_1",), BratteliChain),
+    ("corner-missing", lambda: ladder_family(2), corner_chain, 3, ("w_2",),
+     ChainError),
+    ("branching-spine", lambda: ladder_family(2), tail_chain, 3, (), SpineError),
+    ("misdirected-tail-edge", _custom("forked", _forked), tail_chain, 2, (),
+     ChainError),
+    ("late-extra-source", _LATE_SOURCE, tail_chain, 5, (), BratteliChain),
+    ("late-extra-source-corner", _LATE_SOURCE, corner_chain, 5, ("v_1",),
+     BratteliChain),
+    ("lands-on-older", _custom("ray-fed-late", _ray_plus(
+        {3: (["u"], [EdgeBundle("f", "u", "v_1")])})), tail_chain, 6, (),
+     BratteliChain),
+    ("lands-on-older-corner", _custom("ray-fed-late", _ray_plus(
+        {3: (["u"], [EdgeBundle("f", "u", "v_1")])})), corner_chain, 6,
+     ("v_1",), BratteliChain),
+    ("infinite-side-bundle", _custom("ray-infinite", _ray_plus(
+        {2: (["s"], [EdgeBundle("s", "s", "v_2", ALEPH0)])})), tail_chain, 4,
+     (), InfiniteBundleError),
+    ("infinite-side-bundle-corner", _custom("ray-infinite", _ray_plus(
+        {2: (["s"], [EdgeBundle("s", "s", "v_2", ALEPH0)])})), corner_chain, 4,
+     ("v_1",), BratteliChain),
+    ("cyclic-delta", _custom("ray-looped", _ray_plus(
+        {2: (["c"], [EdgeBundle("l", "c", "c")])})), tail_chain, 4, (),
+     CyclicGraphError),
+    ("cyclic-delta-claimed", _custom("ray-looped", _ray_plus(
+        {2: (["c"], [EdgeBundle("l", "c", "c")])}), ray_family().profile),
+     tail_chain, 4, (), StageError),
+    ("dangling-bundle", _custom("ray-dangling", _ray_plus(
+        {3: ([], [EdgeBundle("x", "v_3", "nowhere")])})), tail_chain, 4, (),
+     GraphBuildError),
+    ("re-added-bundle-id", _custom("ray-twice", _ray_plus(
+        {3: (["y"], [EdgeBundle("e_1", "v_3", "y")])})), corner_chain, 4,
+     ("v_1",), GraphBuildError),
+]
+
+
+@pytest.mark.parametrize("make, chain, depth, corner, gives",
+                         [case[1:] for case in _CUSTOM],
+                         ids=[case[0] for case in _CUSTOM])
+def test_custom_families_match_the_stagewise_route(make, chain, depth, corner,
+                                                    gives):
+    want = _outcome(_ROUTES[chain], make(), depth, *corner)
+    got = _outcome(chain, make(), depth, *corner)
+    assert got == want
+    assert isinstance(got, BratteliChain) if gives is BratteliChain \
+        else got[0] is gives
+
+
+def test_a_delta_landing_on_an_older_vertex_builds_only_its_stage(monkeypatch):
+    # u -> v_1 arrives in delta 3: paths ending at v_1 and past it change, so
+    # stage 3 is built and counted afresh; the stages around it are read
+    make = _custom("ray-fed-late", _ray_plus(
+        {3: (["u"], [EdgeBundle("f", "u", "v_1")])}))
+    want = helpers.stagewise_tail_chain(make(), 6)
+    built = _count_graphs(monkeypatch)
+    chain = tail_chain(make(), 6)
+    assert chain == want
+    assert chain.d == (1, 2, 4, 5, 6, 7)  # f.e_1.e_2 joins at stage 3
+    assert built == [4]  # stage 3 alone: v_1, v_2, v_3 and u
 
 
 # --- direct limits ---------------------------------------------------------------
@@ -218,14 +425,7 @@ def test_limit_needs_three_nodes():
 def test_tail_chain_with_late_extra_source():
     # a side vertex u feeds the spine at stage 3; multiplicity stays one
     # but the sizes jump by two across that stage
-    def delta(k):
-        vs, bs = ray_family().delta(k)
-        if k == 3:
-            return vs + ["u"], bs + [EdgeBundle("f", "u", "v_3")]
-        return vs, bs
-
-    sg = StagedGraph("ray-plus-source", delta)
-    chain = tail_chain(sg, 5)
+    chain = tail_chain(_LATE_SOURCE(), 5)
     assert chain.d == (1, 2, 4, 5, 6)
     assert direct_limit_summary(chain).kind == "Compacts"
 
@@ -264,7 +464,7 @@ def test_embed_check_persistent_sink():
         return {0: (["a", "b"], [EdgeBundle("e", "a", "b")]),
                 1: (["c"], [EdgeBundle("f", "a", "c")])}.get(k, ([], []))
 
-    sg = StagedGraph("side-growth", delta)
+    sg = StagedGraph("side-growth", delta, size_of(delta))
     report = embed_check(sg.stage(0), rep_of(sg.stage(1)))
     assert report.ok
 

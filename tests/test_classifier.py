@@ -352,7 +352,8 @@ def test_verdict_unknown_without_certificates():
 
 
 def test_verdict_profileless_staged_is_honest():
-    sg = StagedGraph("mystery", helpers.line_delta)
+    sg = StagedGraph("mystery", helpers.line_delta,
+                     helpers.size_of(helpers.line_delta))
     v = naimark_verdict(sg, depth=4)
     assert v.tag is VerdictTag.UNKNOWN_AT_DEPTH
 
@@ -369,7 +370,7 @@ def test_verdict_exclusive_tail_needs_stage_simplicity():
 
     prof = UniformProfile(min_out_degree=1, spine=lambda i: f"v_{i}",
                           spine_exclusive=True, acyclic_stages=True)
-    sg = StagedGraph("two-rays", delta, prof)
+    sg = StagedGraph("two-rays", delta, helpers.size_of(delta), prof)
     v = naimark_verdict(sg, depth=5)
     assert v.tag is VerdictTag.UNKNOWN_AT_DEPTH
 

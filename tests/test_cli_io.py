@@ -227,6 +227,26 @@ def test_bratteli_ray_compacts():
     assert "[multiplicity-one-chain-compacts]" in text
 
 
+def test_chains_are_admitted_on_their_last_stage():
+    # the stages of ladder3 at depth 720 sum past the bound, the last one
+    # (2,877 vertices and bundles) does not
+    code, text = run_command(["bratteli", "--family", "ladder3", "--depth",
+                              "720", "--json"])
+    assert code == 0, text
+    obj = json.loads(text)
+    assert obj["d"][-1] == 3 ** 719 and obj["m"] == [3] * 719
+    code, text = run_command(["bratteli", "--family", "ray", "--depth", "700",
+                              "--verify-embedding"])
+    assert code == 0, text
+    assert "sizes d: 1 2 3 " in text and " 699 700 " in text
+    # 699 paths into stage 699's sink, squared
+    assert "pass (488601 matrix units, exact)" in text
+    code, text = run_command(["bratteli", "--family", "ladder3", "--depth",
+                              "100000"])
+    assert (code, text) == (3, "error: ladder3: stage graphs would hold more "
+                               f"than {STAGE_WORK_BOUND} vertices and bundles")
+
+
 def test_analyze_uncountable_rose():
     code, text = run_command(["analyze", "--graph",
                               str(GRAPH_DIR / "uncountable_rose.json")])

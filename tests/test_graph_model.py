@@ -51,6 +51,7 @@ from helpers import (
     reaches,
     rose,
     single_loop,
+    size_of,
     two_sinks,
     validate_path,
 )
@@ -490,6 +491,23 @@ def test_staged_families_match_the_from_scratch_builders(name):
     assert sg.stage(7) == build(7)  # an earlier one is rebuilt from the prefixes
 
 
+@pytest.mark.parametrize("name", sorted(helpers.STAGE_ORACLES))
+def test_delta_size_counts_the_delta(name):
+    sg = builtin_family(name)
+    for k in range(31):
+        vertices, bundles = sg.delta(k)
+        assert sg.delta_size(k) == len(vertices) + len(bundles), (name, k)
+
+
+def test_delta_that_disagrees_with_its_size_is_refused():
+    sg = StagedGraph("miscounted", line_delta, lambda k: 1)
+    sg.stage(0)
+    with pytest.raises(StageError, match="miscounted: delta 1 holds 2 vertices "
+                                         "and bundles, not the 1 its size "
+                                         "function gives"):
+        sg.stage(1)
+
+
 def test_stage_negative_index():
     with pytest.raises(StageError):
         ladder_family(2).stage(-1)
@@ -501,7 +519,10 @@ def test_stage_negative_index():
     (([], [EdgeBundle("e", "v0", "nowhere")]), "unknown dst 'nowhere'"),
 ], ids=["vertex", "bundle", "dangling"])
 def test_delta_that_re_adds_an_id_or_dangles_is_refused(again, message):
-    sg = StagedGraph("broken", lambda k: again if k == 2 else line_delta(k))
+    def delta(k):
+        return again if k == 2 else line_delta(k)
+
+    sg = StagedGraph("broken", delta, size_of(delta))
     sg.stage(1)
     for n in (2, 5):  # the stage that adds it, and every later one
         with pytest.raises(GraphBuildError, match=message):
@@ -524,7 +545,8 @@ def test_staged_acyclic_claim_violation():
             return ["u", "v0"], [EdgeBundle("l", "u", "u")]
         return [f"v{k}"], [EdgeBundle(f"e{k - 1}", f"v{k - 1}", f"v{k}")]
 
-    sg = StagedGraph("loopy", delta, UniformProfile(acyclic_stages=True))
+    sg = StagedGraph("loopy", delta, size_of(delta),
+                     UniformProfile(acyclic_stages=True))
     with pytest.raises(StageError, match="stage 0 is cyclic"):
         sg.stage(0)
     # the cycle persists, so any later stage is refused as well
@@ -537,7 +559,8 @@ def test_staged_min_out_degree_violation():
     def delta(k):
         return [f"v{k}"], [EdgeBundle(f"e{k - 1}", f"v{k}", f"v{k - 1}")] if k else []
 
-    sg = StagedGraph("starved", delta, UniformProfile(min_out_degree=1))
+    sg = StagedGraph("starved", delta, size_of(delta),
+                     UniformProfile(min_out_degree=1))
     sg.stage(0)
     with pytest.raises(StageError, match="'v0' settled with out-degree 0 < 1 "
                                          "at stage 1"):
@@ -549,11 +572,11 @@ def test_staged_spine_join_violation():
         return [f"w_{k + 1}"], []  # spine vertices never joined
 
     prof = UniformProfile(spine=lambda i: f"w_{i}")
-    sg = StagedGraph("split-spine", delta, prof)
+    sg = StagedGraph("split-spine", delta, size_of(delta), prof)
     sg.stage(0)  # single spine vertex, nothing to join yet
     with pytest.raises(StageError, match="'w_1'->'w_2' not joined at stage 1"):
         sg.stage(1)
-    sg = StagedGraph("spineless", line_delta, prof)  # never holds w_1
+    sg = StagedGraph("spineless", line_delta, size_of(line_delta), prof)  # never holds w_1
     sg.stage(0)
     with pytest.raises(StageError, match="stage 1 has no spine vertex"):
         sg.stage(1)
@@ -571,10 +594,11 @@ def test_staged_spine_exclusive_violation():
         return delta
 
     prof = UniformProfile(spine=lambda i: f"w_{i}", spine_exclusive=True)
-    assert StagedGraph("thin-spine", spine_of(finite(1)), prof).stage(3)
+    assert StagedGraph("thin-spine", spine_of(finite(1)),
+                       size_of(spine_of(finite(1))), prof).stage(3)
     for delta in (ladder_family(2).delta, spine_of(finite(2)),
                   spine_of(ALEPH0)):
-        sg = StagedGraph("fat-spine", delta, prof)
+        sg = StagedGraph("fat-spine", delta, size_of(delta), prof)
         with pytest.raises(StageError, match="'w_1' is not exclusive at stage 2"):
             sg.stage(2)  # the first stage with a consecutive spine pair
 
@@ -587,7 +611,7 @@ def test_staged_spine_exclusive_violation_after_settling():
         return vs, bs + [EdgeBundle("x", "w_1", "w_3")] if k == 3 else bs
 
     prof = UniformProfile(spine=lambda i: f"w_{i}", spine_exclusive=True)
-    sg = StagedGraph("late-branch", delta, prof)
+    sg = StagedGraph("late-branch", delta, size_of(delta), prof)
     assert sg.stage(2)
     with pytest.raises(StageError, match="'w_1' is not exclusive at stage 3"):
         sg.stage(3)
@@ -600,14 +624,20 @@ def test_stage_work_is_admitted_before_building(monkeypatch):
     sg.stage(7)  # 7 vertices and 12 bundles
     with pytest.raises(BoundExceededError, match=message):
         sg.stage(2)  # 2 vertices and 2 bundles over the 19 already built
+    # a refusal makes no delta, and sizes deltas only until they pass 20
+    made, sized, ladder = [], [], ladder_family(2)
+    sg = StagedGraph("ladder2", lambda k: made.append(k) or ladder.delta(k),
+                     lambda k: sized.append(k) or ladder.delta_size(k))
     with pytest.raises(BoundExceededError, match=message):
-        ladder_family(2).stage(10 ** 9)  # refused once the prefix passes 20
+        sg.stage(10 ** 9)
     with pytest.raises(BoundExceededError, match=message):
-        ladder_family(2).admit(range(1, 5))  # 1 + 4 + 7 + 10 in all
+        sg.admit(8)  # 8 vertices and 14 bundles
+    assert (made, sized) == ([], list(range(9)))
+    sg.admit(7)  # 7 vertices and 12 bundles fit
     assert StagedGraph.fixed("rose", rose(2)).stage(10 ** 9) == rose(2)
 
 
 def test_spine_prefix_without_profile():
-    sg = StagedGraph("bare", line_delta)
+    sg = StagedGraph("bare", line_delta, size_of(line_delta))
     assert sg.spine_prefix(3) == ()
     assert sg.stage(3) == line(4)
