@@ -167,7 +167,7 @@ def _proper_bottom_closures(g: Graph) -> list[frozenset[str]]:
     proper = []
     for comp in strongly_connected_components(g):
         members = set(comp)
-        if all(b.dst in members for v in comp for b in g.out_bundles(v)):
+        if all(b.dst in members for v in comp for b in g._out[v]):
             closure = saturated_hereditary_closure(g, comp)
             if len(closure) != len(g.vertices):
                 proper.append(closure)

@@ -11,8 +11,10 @@ A graph document is JSON::
     }
 
 ``cardinality`` is ``finite:<n>``, ``aleph0``, or ``uncountable`` and
-defaults to ``finite:1``.  Parsing reports the offending field by path
-(``edges[3].src``); emission is canonical, so parse/emit round-trips.
+defaults to ``finite:1``.  Parsing builds the graph in one pass over the
+entries; only a document that pass or the ``Graph`` constructor refuses is
+walked field by field, to report the first offence by path
+(``edges[3].src``).  Emission is canonical, so parse/emit round-trips.
 
 Every line a report prints carries a bracketed tag: either ``computed``
 (this run checked it directly) or the name of a registered structure fact;
@@ -87,9 +89,45 @@ from .ideal_lattice import (
 # --- graph documents --------------------------------------------------------
 
 
+_DOC_KEYS = frozenset(("name", "vertices", "edges"))
+_EDGE_KEYS = frozenset(("id", "src", "dst", "cardinality"))
+# a Cardinality is immutable, so one parse of each text is shared
+_cardinality = functools.lru_cache(maxsize=256)(Cardinality.parse)
+
+
 def parse_graph_document(doc: object) -> Graph:
-    """Validate and build a graph from a parsed JSON document, reporting
-    the first offence by field path."""
+    """Build a graph from a parsed JSON document in one pass.
+
+    The pass checks each entry's keys and types and reads each cardinality
+    text through a cache; the ``Graph`` constructor checks ids and
+    endpoints.  A document either refuses goes to ``_walk_document``,
+    which names the first offence by field path."""
+    try:
+        if type(doc) is dict and doc.keys() <= _DOC_KEYS:
+            verts, edges = doc.get("vertices"), doc.get("edges", [])
+            if (type(doc.get("name")) in (str, type(None))
+                    and type(verts) is list and type(edges) is list
+                    and all(type(v) is str and v for v in verts)):
+                bundles = []
+                for e in edges:
+                    if type(e) is not dict or not e.keys() <= _EDGE_KEYS:
+                        break
+                    i, src, dst = e.get("id"), e.get("src"), e.get("dst")
+                    text = e.get("cardinality", "finite:1")
+                    if not (type(i) is str and i and type(src) is str and src
+                            and type(dst) is str and dst and type(text) is str):
+                        break
+                    bundles.append(EdgeBundle(i, src, dst, _cardinality(text)))
+                else:
+                    return Graph(verts, bundles)
+    except GraphBuildError:
+        pass
+    return _walk_document(doc)
+
+
+def _walk_document(doc: object) -> Graph:
+    """Validate and build a graph field by field, reporting the first
+    offence by path; words the refusals of ``parse_graph_document``."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     stray = sorted(set(doc) - {"name", "vertices", "edges"})
@@ -138,10 +176,7 @@ def parse_graph_document(doc: object) -> Graph:
         except GraphBuildError as exc:
             raise DocumentError(f"{where}.cardinality: {exc}") from None
         bundles.append(EdgeBundle(e["id"], e["src"], e["dst"], card))
-    try:
-        return Graph(verts, bundles)
-    except GraphBuildError as exc:  # field checks above should prevent this
-        raise DocumentError(str(exc)) from None
+    return Graph(verts, bundles)  # the checks above cover the constructor's
 
 
 def emit_graph_document(g: Graph, name: str | None = None) -> dict:
@@ -174,12 +209,17 @@ def _write_file(path: str, text: str) -> None:
 
 def load_graph_file(path: str) -> Graph:
     try:
-        text = pathlib.Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: undecodable text: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise DocumentError(f"{path}: invalid JSON: nesting too deep") from None
+    except ValueError as exc:  # a decode error, or an integer too long to read
         raise DocumentError(f"{path}: invalid JSON: {exc}") from None
     return parse_graph_document(doc)
 
@@ -586,9 +626,8 @@ def _expand_batch(paths: list[str]) -> list[str]:
     """Directories expand to their .json files (sorted); files pass through."""
     out: list[str] = []
     for p in paths:
-        path = pathlib.Path(p)
-        if path.is_dir():
-            found = sorted(str(q) for q in path.glob("*.json"))
+        if os.path.isdir(p):
+            found = sorted(str(q) for q in pathlib.Path(p).glob("*.json"))
             if not found:
                 raise DocumentError(f"{p}: no .json documents in directory")
             out.extend(found)
@@ -695,6 +734,8 @@ def main() -> None:
     code, text = run_command(sys.argv[1:])
     if text:
         out = sys.stderr if code else sys.stdout
+        enc = out.encoding or "utf-8"  # lone surrogates print escaped
+        text = text.encode(enc, "backslashreplace").decode(enc)
         try:
             print(text, file=out)
             out.flush()

@@ -81,9 +81,10 @@ ALEPH0 = Cardinality(ALEPH0_KIND)
 UNCOUNTABLE = Cardinality(UNCOUNTABLE_KIND)
 
 
-@dataclass(frozen=True)
-class EdgeBundle:
-    """A parallel family of edges from ``src`` to ``dst``."""
+class EdgeBundle(NamedTuple):
+    """A parallel family of edges from ``src`` to ``dst``.  A named tuple
+    (cheap to build, one per document edge), so it also compares equal to
+    the plain tuple of its fields."""
 
     id: str
     src: str
@@ -111,7 +112,8 @@ class Graph:
     """Immutable bundle-labelled directed graph with adjacency indexes."""
 
     __slots__ = ("vertices", "bundles", "vertex_set", "_by_id", "_out", "_in",
-                 "_finite_edges", "_components", "_kinds")
+                 "_finite_edges", "_components", "_cyclic", "_kinds",
+                 "_regular")
 
     def __init__(self, vertices: Sequence[str], bundles: Sequence[EdgeBundle]):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -134,7 +136,9 @@ class Graph:
             self._in[b.dst].append(b)
         self._finite_edges: tuple[Edge, ...] | None = None
         self._components: tuple[tuple[str, ...], ...] | None = None
+        self._cyclic: bool | None = None
         self._kinds: tuple[tuple[str, ...], tuple[str, ...]] | None = None
+        self._regular: frozenset[str] | None = None
 
     # --- structural access -------------------------------------------------
 
@@ -152,9 +156,6 @@ class Graph:
 
     def is_sink(self, v: str) -> bool:
         return not self.out_bundles(v)
-
-    def emits_infinitely(self, v: str) -> bool:
-        return any(not b.cardinality.is_finite for b in self.out_bundles(v))
 
     def out_degree(self, v: str) -> int | None:
         """Total number of edges out of ``v``; None when it is infinite."""
@@ -350,7 +351,7 @@ def _count_paths(g: Graph, counts: dict[str, int]) -> dict[str, int]:
 
 def _sinks_and_regular(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Sinks and regular vertices in graph order, computed once per graph
-    and cached on it."""
+    and cached on it, with the regular ones as a set."""
     if g._kinds is None:
         sk, regular = [], []
         for v in g.vertices:
@@ -360,6 +361,7 @@ def _sinks_and_regular(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
             elif all(b.cardinality.is_finite for b in out):
                 regular.append(v)
         g._kinds = (tuple(sk), tuple(regular))
+        g._regular = frozenset(regular)
     return g._kinds
 
 
@@ -369,12 +371,18 @@ def sinks(g: Graph) -> list[str]:
 
 def singular_vertices(g: Graph) -> list[str]:
     """Sinks and infinite emitters, in graph order."""
-    regular = set(_sinks_and_regular(g)[1])
+    regular = regular_set(g)
     return [v for v in g.vertices if v not in regular]
 
 
 def regular_vertices(g: Graph) -> list[str]:
     return list(_sinks_and_regular(g)[1])
+
+
+def regular_set(g: Graph) -> frozenset[str]:
+    """The regular vertices, as a set cached on the graph."""
+    _sinks_and_regular(g)
+    return g._regular
 
 
 # --- reachability and cycles --------------------------------------------------
@@ -422,60 +430,55 @@ def topological_order(g: Graph) -> list[str]:
 def has_cycle(g: Graph) -> bool:
     """A cycle exists iff some strongly connected component has more than
     one vertex or some bundle is a self-loop; read from the cached
-    components."""
-    return (len(strongly_connected_components(g)) < len(g.vertices)
-            or any(b.src == b.dst for b in g.bundles))
+    components, and cached on the graph."""
+    if g._cyclic is None:
+        g._cyclic = (len(strongly_connected_components(g)) < len(g.vertices)
+                     or any(b.src == b.dst for b in g.bundles))
+    return g._cyclic
 
 
 def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     """Iterative Tarjan over bundle adjacency, computed once per graph."""
     if g._components is not None:
         return g._components
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
+    out, done = g._out, len(g.vertices)
+    index: dict[str, int] = {}  # a finished vertex's is raised to ``done``,
+    low: dict[str, int] = {}    # so it never lowers a link
     stack: list[str] = []
     components: list[tuple[str, ...]] = []
-    counter = 0
 
     for root in g.vertices:
         if root in index:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(out[root]))]  # each open vertex, its successors left
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            succs = g._out[v]
-            while pi < len(succs):
-                w = succs[pi].dst
-                pi += 1
-                work[-1] = (v, pi)
+            v, succs = work[-1]
+            for b in succs:
+                w = b.dst
                 if w not in index:
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(comp))
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     g._components = tuple(components)
     return g._components
 
@@ -582,6 +585,8 @@ def cofinal(g: Graph) -> CofinalityResult:
     cyclic component, so this is equivalent to every vertex meeting every
     infinite path.  Vacuously true when the graph is acyclic.
     """
+    if not has_cycle(g):
+        return CofinalityResult(True, None)
     comps = strongly_connected_components(g)
     cyclic_comps = [sorted(c) for c in comps if _scc_is_cyclic(g, c)]
     cyclic_comps.sort()
@@ -748,7 +753,9 @@ class StagedGraph:
         return Step(self._vertices[start:nv], bundles, sinks, sink)
 
     def _append(self, k: int) -> None:
-        """Append stage k's delta, checking each claim it could break."""
+        """Append stage k's delta, checking each claim it could break.  The
+        checks read the delta beside the state and run before any of it
+        changes, so a refused delta leaves the family as it was."""
         prof, out, spine = self.profile, self._out, self._spine
         vertices, bundles = self.delta(k)
         if (size := len(vertices) + len(bundles)) != self.delta_size(k):
@@ -757,33 +764,42 @@ class StagedGraph:
                              "its size function gives")
         order = self._plain_order(vertices, bundles)
         fresh = self._vertices[self._ends[k - 2][0] if k > 1 else 0:]  # stage k-1's
-        for v in vertices:
-            out.setdefault(v, [])
+        added: dict[str, list[EdgeBundle]] = {v: [] for v in vertices}
         for b in bundles:
-            out.setdefault(b.src, []).append(b)
+            added.setdefault(b.src, []).append(b)
+
+        def outs(v: str) -> list[EdgeBundle]:  # v's bundles once appended
+            return out.get(v, []) + added.get(v, [])
         for v in fresh if prof.min_out_degree is not None else ():
-            d = sum(b.cardinality.count for b in out[v])
-            if d < prof.min_out_degree and all(b.cardinality.is_finite for b in out[v]):
+            d = sum(b.cardinality.count for b in outs(v))
+            if d < prof.min_out_degree and all(b.cardinality.is_finite for b in outs(v)):
                 raise StageError(f"{self.name}: vertex {v!r} settled with out-degree "
                                  f"{d} < {prof.min_out_degree} at stage {k}")
         # the profile's spine names in order, up to the first one missing
-        while prof.spine is not None and (w := prof.spine(len(spine) + 1)) in out:
-            if spine:
-                if not any(b.dst == w for b in out[spine[-1]]):
-                    raise StageError(f"{self.name}: spine vertices {spine[-1]!r}->"
+        grown: list[str] = []  # the spine vertices the delta adds
+        while prof.spine is not None and (
+                (w := prof.spine(len(spine) + len(grown) + 1)) in out or w in added):
+            if spine or grown:
+                last = (grown or spine)[-1]
+                if not any(b.dst == w for b in outs(last)):
+                    raise StageError(f"{self.name}: spine vertices {last!r}->"
                                      f"{w!r} not joined at stage {k}")
-                self._settled.add(spine[-1])
-            spine.append(w)
-        if prof.spine is not None and k > 0 and not spine:
+            grown.append(w)
+        settled = (spine[-1:] + grown)[:-1]  # those the delta gives a successor
+        if prof.spine is not None and k > 0 and not (spine or grown):
             raise StageError(f"{self.name}: stage {k} has no spine vertex")
         # a settled spine vertex is the source of a bundle in the delta that
         # settles it (its successor is new) and of any it emits later
         for b in bundles if prof.spine_exclusive else ():
-            outs = out[b.src]
-            if b.src in self._settled and (len(outs) != 1
-                                           or outs[0].cardinality.count != 1):
+            bs = outs(b.src)
+            if (b.src in self._settled or b.src in settled) and (
+                    len(bs) != 1 or bs[0].cardinality.count != 1):
                 raise StageError(f"{self.name}: spine vertex {b.src!r} "
                                  f"is not exclusive at stage {k}")
+        for v, bs in added.items():
+            out.setdefault(v, []).extend(bs)
+        spine += grown
+        self._settled.update(settled)
         self._ids.update(b.id for b in bundles)
         sinks = self._sinks
         sinks.update(vertices)

@@ -23,6 +23,7 @@ from .errors import BoundExceededError, NotHereditaryError
 from .graph_model import (
     Graph,
     build_graph,
+    regular_set,
     regular_vertices,
     strongly_connected_components,
     traverse,
@@ -88,6 +89,7 @@ def _close(g: Graph, inside: frozenset[str],
     s = set(inside)
     s.update(work)
     out, into = g._out, g._in  # seeds are vertices; the rest is reached
+    regular = regular_set(g)
     outside: dict[str, int] = {}
     while work:
         v = work.pop()
@@ -104,7 +106,7 @@ def _close(g: Graph, inside: frozenset[str],
                 left = sum(d.dst not in inside for d in out[u])
             left -= 1
             outside[u] = left
-            if not left and not g.emits_infinitely(u):
+            if not left and u in regular:
                 s.add(u)
                 work.append(u)
     return frozenset(s)
@@ -176,7 +178,7 @@ def enumerate_saturated_hereditary(g: Graph) -> list[frozenset[str]]:
     for comp in strongly_connected_components(g):
         x = empty  # the join of the closures of comp's successors
         for v in comp:
-            for b in g.out_bundles(v):
+            for b in g._out[v]:
                 d = closure_of.get(b.dst, empty)  # empty inside comp
                 if not d <= x:
                     x = d if x <= d else close(x, d)

@@ -12,7 +12,8 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphck import (
     DocumentError,
@@ -119,6 +120,185 @@ def test_load_graph_file_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(DocumentError, match="invalid JSON"):
         load_graph_file(str(bad))
+
+
+# documents the JSON reader refuses with something other than a decode error
+UNREADABLE = {
+    "undecodable": (b'{"vertices": ["v\xe9"], "edges": []}', "undecodable text: "),
+    "deep": (b"[" * 200000 + b"]" * 200000, "invalid JSON: nesting too deep"),
+    "long-int": (b'{"name": ' + b"7" * 5000 + b', "vertices": ["v"]}',
+                 "invalid JSON: Exceeds the limit (4300 digits)"),
+}
+
+
+def _graphck(*argv):
+    """Run the CLI in a fresh interpreter that reads and writes UTF-8."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "graphck", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "PYTHONUTF8": "1"})
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_documents_exit_2_without_a_traceback(tmp_path, kind):
+    raw, needle = UNREADABLE[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    alone = _graphck("classify", "--graph", str(bad))
+    assert alone.returncode == 2 and alone.stdout == ""
+    assert alone.stderr.startswith(f"error: {bad}: {needle}")
+    assert alone.stderr.count("\n") == 1 and "Traceback" not in alone.stderr
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(emit_graph_document(g1())))
+    batch = _graphck("classify", "--batch", str(bad), str(good), "--json")
+    assert batch.returncode == 2 and "Traceback" not in batch.stderr
+    refused, answered = json.loads(batch.stderr)
+    assert refused["command"] == "error"
+    assert refused["error"].startswith(f"{bad}: {needle}")
+    assert answered["verdict"] == "UniqueIrrepCompacts"
+
+
+def test_lone_surrogate_names_print_escaped(tmp_path):
+    # a \u escape can name a vertex no output stream can encode
+    p = tmp_path / "surrogate.json"
+    p.write_text('{"vertices": ["\\ud800", "w"], "edges": '
+                 '[{"id": "e", "src": "w", "dst": "\\ud800"}, '
+                 '{"id": "f", "src": "w", "dst": "w"}]}')
+    done = _graphck("classify", "--graph", str(p))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "vertex \\ud800 cannot reach the cycle f" in done.stdout
+
+
+# --- the one-pass intake against the field-by-field walk -----------------------------
+
+_JUNK = [None, 0, 7, 1.5, True, "", "x", [], ["v0"], {}, {"id": "e"}]
+_BAD_CARDS = ["finite:0", "finite:-1", "finite:x", "finite:", "finite:1.5",
+              "finite: 2", "finite:1_0", "finite:\u0663", "finite:" + "9" * 5000,
+              "aleph1", "", "FINITE:1", "Aleph0"]
+
+
+def _objects(doc):
+    """The root and every edge object a mutation can edit."""
+    if not isinstance(doc, dict):
+        return []
+    edges = doc.get("edges")
+    if not isinstance(edges, list):
+        return [doc]
+    return [doc] + [e for e in edges if isinstance(e, dict)]
+
+
+def _ids(doc, draw):
+    """A list of ids in the document and an index into it, or None."""
+    lists = [doc[k] for k in ("vertices", "edges")
+             if isinstance(doc, dict) and isinstance(doc.get(k), list) and doc[k]]
+    if not lists:
+        return None
+    ids = draw(st.sampled_from(lists))
+    return ids, draw(st.integers(0, len(ids) - 1))
+
+
+def _drop_key(draw, doc):
+    if objs := [o for o in _objects(doc) if o]:
+        o = draw(st.sampled_from(objs))
+        del o[draw(st.sampled_from(sorted(o)))]
+
+
+def _extra_key(draw, doc):
+    if objs := _objects(doc):
+        key = draw(st.sampled_from(["flavor", "weight", "edge", "src"]))
+        draw(st.sampled_from(objs))[key] = draw(st.sampled_from(_JUNK))
+
+
+def _wrong_type(draw, doc):
+    if draw(st.booleans()) and (at := _ids(doc, draw)) is not None:
+        ids, i = at
+        ids[i] = draw(st.sampled_from(_JUNK))  # a vertex or edge entry
+    elif objs := _objects(doc):
+        o = draw(st.sampled_from(objs))
+        keys = ["name", "vertices", "edges"] if o is doc else \
+            ["id", "src", "dst", "cardinality"]
+        o[draw(st.sampled_from(keys))] = draw(st.sampled_from(_JUNK))
+
+
+def _empty_or_duplicate_id(draw, doc):
+    if (at := _ids(doc, draw)) is not None:
+        ids, i = at
+        j = draw(st.integers(0, len(ids) - 1))
+        if isinstance(ids[i], dict) and isinstance(ids[j], dict):
+            ids[i]["id"] = draw(st.sampled_from(["", ids[j].get("id")]))
+        else:
+            ids[i] = draw(st.sampled_from(["", ids[j]]))
+
+
+def _unknown_endpoint(draw, doc):
+    if edges := _objects(doc)[1:]:
+        e = draw(st.sampled_from(edges))
+        e[draw(st.sampled_from(["src", "dst"]))] = "zz"
+
+
+def _bad_cardinality(draw, doc):
+    if edges := _objects(doc)[1:]:
+        draw(st.sampled_from(edges))["cardinality"] = draw(
+            st.sampled_from(_BAD_CARDS))
+
+
+_MUTATIONS = [_drop_key, _extra_key, _wrong_type, _empty_or_duplicate_id,
+              _unknown_endpoint, _bad_cardinality]
+
+
+@st.composite
+def mutated_documents(draw):
+    g = draw(graphs(infinite_ok=True))
+    doc = emit_graph_document(g, name=draw(st.sampled_from(["", "demo"])))
+    for mutate in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1,
+                                max_size=3)):
+        mutate(draw, doc)
+    if draw(st.sampled_from(range(10))) == 9:  # a root that is not an object
+        doc = draw(st.sampled_from([[doc], [], "doc", 3, None]))
+    return doc
+
+
+def _intake(parse, doc):
+    try:
+        g = parse(doc)
+    except DocumentError as exc:
+        return "refused", str(exc)
+    return "built", g.vertices, g.bundles
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+@example(doc_of(name=7))
+@example(doc_of(edges={}))
+@example({"vertices": ["v", 7]})
+@example(doc_of(edges=[{"id": 7, "src": "v", "dst": "w"}]))
+def test_one_pass_intake_agrees_with_the_walk(doc):
+    assert _intake(parse_graph_document, doc) == \
+        _intake(cli_io._walk_document, doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "doc.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.one_of(
+    st.binary(max_size=80),
+    st.text(max_size=80),
+    mutated_documents().map(lambda d: json.dumps(d).encode()),
+    mutated_documents().map(
+        lambda d: json.dumps(d, ensure_ascii=False).encode("utf-8")[:-1]),
+))
+def test_classify_ends_every_document_with_an_exit_code(fuzz_file, raw):
+    # raw text and bytes, whole mutated documents, and truncated ones
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8", "surrogatepass")
+    with open(fuzz_file, "wb") as f:
+        f.write(raw)
+    code, text = run_command(["classify", "--graph", fuzz_file])
+    assert code in (0, 2, 3) and "Traceback" not in text
 
 
 # --- reports and claim lines -----------------------------------------------------------

@@ -508,6 +508,19 @@ def test_delta_that_disagrees_with_its_size_is_refused():
         sg.stage(1)
 
 
+def test_a_refused_delta_leaves_the_family_unchanged():
+    # the profile checks run before the delta is appended, so asking again
+    # meets the same refusal instead of a half-applied delta
+    sg = StagedGraph("line", line_delta, size_of(line_delta),
+                     UniformProfile(min_out_degree=2))
+    for _ in range(2):
+        with pytest.raises(StageError) as ei:
+            sg.stage(3)
+        assert str(ei.value) == ("line: vertex 'v0' settled with out-degree "
+                                 "1 < 2 at stage 1")
+    assert sg.stage(0).vertices == ("v0",)
+
+
 def test_stage_negative_index():
     with pytest.raises(StageError):
         ladder_family(2).stage(-1)
