@@ -5,7 +5,9 @@ model acts on the free basis of all paths into a terminal vertex (a sink
 or a regular vertex outside S), grown backwards from the terminals: each
 path a yields e.a for every edge e into its source, and s_e sends a to
 e.a.  No other path is made, and a basis of more than ``BASIS_SIZE_BOUND``
-paths (counted by the path-count DP) is refused before it is grown.
+paths (counted by the path-count DP) is refused before it is grown.  The
+growth runs level by level, edges in id order, which lays the basis out in
+(length, edge ids, source) order without sorting it.
 Vertex projections are diagonal idempotents (paths starting at the
 vertex).  With this basis rule the three Cuntz-Krieger identities hold
 exactly, the summation identity holds at precisely the vertices of S,
@@ -40,7 +42,6 @@ from .errors import (
 )
 from .exactmat import IntMatrix
 from .graph_model import (
-    Edge,
     Graph,
     Path,
     count_paths_ending,
@@ -150,20 +151,23 @@ class MatrixRep:
 
     def path_map(self, path: Path) -> dict[int, int]:
         """The col -> row map of a path operator.  A trivial path's map is
-        the identity on its vertex's support; any other path's composes
-        its edges' maps, memoised on the edge tuple, so a path extends the
-        map of its longest memoised suffix."""
+        the identity on its vertex's support; any other path's is its first
+        edge's map after the map of the rest, memoised on the edge tuple.
+        The recursion on suffixes runs on a list, not the call stack, so a
+        path may be longer than the interpreter's recursion limit."""
         if path.is_trivial:
             return {i: i for i in self.supports[path.source]}
         edges, maps, memo = path.edges, self.edge_maps, self._composed
-        k = 0
-        while k < len(edges) - 1 and edges[k:] not in memo:
-            k += 1
-        m = maps[edges[k]] if k == len(edges) - 1 else memo[edges[k:]]
-        for j in reversed(range(k)):
-            first = maps[edges[j]]
+        pending = []  # suffixes whose maps are still to compose, longest first
+        while len(edges) > 1 and (m := memo.get(edges)) is None:
+            pending.append(edges)
+            edges = edges[1:]
+        if len(edges) == 1:
+            m = maps[edges[0]]
+        for suffix in reversed(pending):
+            first = maps[suffix[0]]
             m = {c: first[r] for c, r in m.items() if r in first}
-            memo[edges[j:]] = m
+            memo[suffix] = m
         return m
 
     @functools.cached_property
@@ -178,7 +182,12 @@ class MatrixRep:
 
 
 def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
-    """Assemble the model; the grown basis is sorted once by ``Path.sort_key``."""
+    """Assemble the model, growing the basis level by level.
+
+    Level 0 is the trivial paths at the sorted terminals; level L+1 is
+    e.a for each edge e in id order and each level-L path a starting at
+    e's range, in level order.  That is ``Path.sort_key`` order, so no
+    path is compared, and s_e's map gets each entry as e.a is appended."""
     _check_model_graph(g)
     terms = terminal_vertices(g, spec)
     ending = count_paths_ending(g)
@@ -186,24 +195,32 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
     if size > BASIS_SIZE_BOUND:
         raise BoundExceededError(
             f"model basis would hold more than {BASIS_SIZE_BOUND} paths")
-    into: dict[str, list[Edge]] = {v: [] for v in g.vertices}
-    for e in g.finite_edges():
-        into[e.dst].append(e)
-    # (path, its first edge, the index of its tail), from the trivial paths
-    grown = [(Path(t, t, ()), None, None) for t in terms]
-    for i, (a, _, _) in enumerate(grown):  # also visits the paths it appends
-        for e in into[a.source]:
-            grown.append((Path(e.src, a.target, (e.id,) + a.edges), e.id, i))
-    order = sorted(range(size), key=lambda i: grown[i][0].sort_key())
-    position = {i: j for j, i in enumerate(order)}
+    edges = g.finite_edges()
+    into: dict[str, list[int]] = {v: [] for v in g.vertices}
+    for i, e in enumerate(edges):
+        into[e.dst].append(i)
+    col_to_row: dict[str, dict[int, int]] = {e.id: {} for e in edges}
     by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
-    col_to_row: dict[str, dict[int, int]] = {e.id: {} for e in g.finite_edges()}
-    for j, i in enumerate(order):
-        a, e, tail = grown[i]
-        by_source[a.source].append(j)
-        if e is not None:
-            col_to_row[e][position[tail]] = j
-    return MatrixRep(g, spec, tuple(grown[i][0] for i in order),
+    basis = [Path(t, t, ()) for t in terms]
+    # each source's paths of the last level, by basis position
+    level = {t: [i] for i, t in enumerate(terms)}
+    while level:
+        grown: dict[str, list[int]] = {}
+        for i in sorted(i for v in level for i in into[v]):
+            e = edges[i]
+            first, row, m = (e.id,), len(basis), col_to_row[e.id]
+            for a in level[e.dst]:
+                tail = basis[a]
+                m[a] = len(basis)
+                basis.append(Path(e.src, tail.target, first + tail.edges))
+            grown.setdefault(e.src, []).extend(range(row, len(basis)))
+        for v, rows in level.items():
+            by_source[v] += rows
+        level = grown
+    if len(basis) != size:
+        raise InternalCheckError(
+            f"grown basis holds {len(basis)} paths; the path count is {size}")
+    return MatrixRep(g, spec, tuple(basis),
                      {v: frozenset(idxs) for v, idxs in by_source.items()},
                      col_to_row)
 
@@ -257,13 +274,19 @@ def _relations(rep: MatrixRep) -> CkReport:
             ck2_ok = False
             failures.append(f"ck2 fails at edge {e.id}")
 
+    # supports are sets and ranges injective (``report`` checks that
+    # first), so each family is pairwise disjoint exactly when its sizes
+    # add up to the size of its union; only a clash is looked for
     ids = [e.id for e in edges]
     ranges = [rep.edge_maps[a].values() for a in ids]
     supports = [support[v] for v in g.vertices]
-    clashes = [f"vertex projections {v}, {w} not orthogonal"
-               for v, w in _meeting_pairs(g.vertices, supports, supports)]
-    clashes += [f"edge ranges {a}, {b} not orthogonal"
-                for a, b in _meeting_pairs(ids, ranges, ranges)]
+    clashes = []
+    if sum(map(len, supports)) != len(set().union(*supports)):
+        clashes += [f"vertex projections {v}, {w} not orthogonal"
+                    for v, w in _meeting_pairs(g.vertices, supports, supports)]
+    if sum(map(len, ranges)) != len(set().union(*ranges)):
+        clashes += [f"edge ranges {a}, {b} not orthogonal"
+                    for a, b in _meeting_pairs(ids, ranges, ranges)]
     failures += clashes
 
     ck3: dict[str, bool] = {}

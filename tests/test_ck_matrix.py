@@ -149,6 +149,41 @@ def test_grown_model_matches_enumerated_builder_on_family_stages(sg, depth):
             _assert_builders_agree(g, spec)
 
 
+def test_basis_is_grown_in_sort_key_order_with_no_comparison(monkeypatch):
+    # edge ids whose order is neither bundle order nor numeric order, and
+    # paths of up to three edges
+    g = Graph(["d", "a", "b", "c", "s"],
+              [EdgeBundle("z", "a", "b"), EdgeBundle("m", "b", "s", finite(11)),
+               EdgeBundle("b", "c", "s"), EdgeBundle("k", "a", "c", finite(2)),
+               EdgeBundle("a", "d", "a")])
+
+    def refuse(self):
+        raise AssertionError("the builder compared paths")
+
+    monkeypatch.setattr(Path, "sort_key", refuse)
+    rep = build_ck_family(g, RelativeSpec.full(g))
+    monkeypatch.undo()
+    assert list(rep.basis) == sorted(rep.basis, key=Path.sort_key)
+    assert [p.label() for p in rep.basis[:5]] == ["s", "b", "m#0", "m#1", "m#10"]
+    _assert_builders_agree(g, RelativeSpec.full(g))
+    _assert_builders_agree(g, RelativeSpec.toeplitz())
+
+
+def test_grown_basis_must_match_the_path_count(monkeypatch):
+    g = ladder_family(2).stage(4)
+    count = ck_matrix.count_paths_ending
+
+    def one_more(g):
+        out = count(g)
+        out["w_4"] += 1
+        return out
+
+    monkeypatch.setattr(ck_matrix, "count_paths_ending", one_more)
+    with pytest.raises(InternalCheckError) as ei:
+        build_ck_family(g, RelativeSpec.full(g))
+    assert str(ei.value) == "grown basis holds 15 paths; the path count is 16"
+
+
 def test_model_rejects_cycles_and_infinite_bundles():
     with pytest.raises(CyclicGraphError) as ei:
         build_ck_family(single_loop(), RelativeSpec.toeplitz())
@@ -472,6 +507,65 @@ def test_relations_match_product_route_on_tampered_models(g, data):
         with pytest.raises(InternalCheckError) as ei:
             algebra_dimension(rep)
         assert str(ei.value) == report.failures[0]
+
+
+def test_bratteli_tampers_fail_the_same_relations_on_both_routes():
+    # the tampers of test_bratteli, on ladder2's stage-4 model
+    from test_bratteli import (
+        _empty_edge_domain,
+        _overlap_out_ranges,
+        _widen_vertex_projection,
+    )
+    for tamper in (_empty_edge_domain, _overlap_out_ranges,
+                   _widen_vertex_projection):
+        g = ladder_family(2).stage(4)
+        rep = build_ck_family(g, RelativeSpec.full(g))
+        tamper(rep)
+        assert _assert_routes_agree(rep).failures, tamper.__name__
+
+
+def _double_a_position(rng, rep):
+    # a vertex's support takes a position another vertex holds
+    names = sorted(rep.supports)
+    v, w = rng.sample(names, 2)
+    if rep.supports[w]:
+        pos = rng.choice(sorted(rep.supports[w]))
+        rep.supports[v] = rep.supports[v] | {pos}
+
+
+def _share_a_row(rng, rep):
+    # an edge sends one column to a row another edge's range holds,
+    # keeping its own map injective
+    a, b = rng.sample(sorted(rep.edge_maps), 2)
+    ma, rows = rep.edge_maps[a], set(rep.edge_maps[a].values())
+    free = sorted(set(rep.edge_maps[b].values()) - rows)
+    if ma and free:
+        col = rng.choice(sorted(ma))
+        ma[col] = rng.choice(free)
+
+
+def test_relation_pass_lists_what_the_always_listing_route_lists():
+    # seeded tampers that make supports or ranges meet, one or several at
+    # once; product_verify_ck multiplies every pair and lists every clash,
+    # and the one-count pass must give the same lines in the same order
+    rng = random.Random(19)
+    clashed = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        pairs = [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 8))]
+        g = Graph(helpers.vertex_names(n),
+                  [EdgeBundle(f"e{i}", f"v{a}", f"v{b}", finite(rng.randint(1, 3)))
+                   for i, (a, b) in enumerate(pairs)])
+        if len(g.finite_edges()) < 2:
+            continue
+        regs = regular_vertices(g)
+        rep = build_ck_family(g, RelativeSpec.of(
+            v for v in regs if rng.random() < 0.5))
+        for _ in range(rng.choice([1, 1, 2, 3, 5])):
+            rng.choice([_double_a_position, _share_a_row])(rng, rep)
+        report = _assert_routes_agree(rep)
+        clashed += not report.mutual_orthogonality
+    assert clashed >= 250
 
 
 def test_ck_reads_each_generator_once_and_runs_one_relation_pass(

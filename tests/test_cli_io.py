@@ -113,6 +113,30 @@ def test_parse_diagnostics(doc, needle):
     assert needle in str(ei.value)
 
 
+@pytest.mark.parametrize("text", ["finite: 2", "finite:1_0", "finite:\u0663",
+                                  "finite:+3", "finite:2 ", "finite:-1"])
+def test_finite_counts_other_than_ascii_decimal_exit_2(tmp_path, text):
+    # each read as a count by int(); the fast pass, the walk, a single
+    # document and a batch all refuse it with the walk's line
+    doc = doc_of(edges=[{"id": "e", "src": "v", "dst": "w"},
+                        {"id": "f", "src": "v", "dst": "w", "cardinality": text}])
+    message = f"edges[1].cardinality: bad finite cardinality {text!r}"
+    cli_io._cardinality.cache_clear()
+    for parse in (parse_graph_document, cli_io._walk_document):
+        with pytest.raises(DocumentError) as ei:
+            parse(doc)
+        assert str(ei.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["classify", "--graph", str(path)]) == \
+        (2, f"error: {message}")
+    code, out = run_command(["classify", "--batch", str(path),
+                             str(GRAPH_DIR / "g1.json"), "--json"])
+    bad, good = json.loads(out)
+    assert (code, bad["error"], good["verdict"]) == \
+        (2, message, "UniqueIrrepCompacts")
+
+
 def test_load_graph_file_errors(tmp_path):
     with pytest.raises(DocumentError, match="cannot read"):
         load_graph_file(str(tmp_path / "missing.json"))
@@ -299,6 +323,83 @@ def test_classify_ends_every_document_with_an_exit_code(fuzz_file, raw):
         f.write(raw)
     code, text = run_command(["classify", "--graph", fuzz_file])
     assert code in (0, 2, 3) and "Traceback" not in text
+
+
+# --- the --json writer against json.dumps ---------------------------------------------
+
+# text with non-ASCII characters, lone surrogates and control characters
+_JSON_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(["\ud800", "\udfff x", "\x00\x1f\x7f\n\t\"\\", "\u2014\u00e9",
+                     "\U0001f600"]))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 4299, 10 ** 4299),  # within the int digit limit
+    _JSON_TEXT)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_JSON_TEXT, kids, max_size=4)),
+    max_leaves=24)
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+@example({"b": [], "a": {}, "c": [[], {}, ()], "": [None, True, False, 0]})
+@example([1.5, float("nan"), {"x": -0.0}])  # floats go to json.dumps
+@example({"k": {2: "a", 1: "b", True: None}, "j": [{None: 1}]})  # other keys too
+@example(-(10 ** 4299))
+def test_json_writer_writes_the_bytes_json_dumps_writes(obj):
+    assert cli_io.render_json(obj) == _dumps(obj)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    for obj in ([{"a": object()}], {"a": 1, 2: "b"}, [10 ** 5000]):
+        with pytest.raises((TypeError, ValueError)) as want:
+            _dumps(obj)
+        with pytest.raises(want.type) as got:
+            cli_io.render_json(obj)
+        assert str(got.value) == str(want.value)
+
+
+def _every_json_command():
+    for path in sorted(GRAPH_DIR.glob("*.json")):
+        g = ["--graph", str(path)]
+        yield from (["analyze", *g], ["classify", *g], ["ideals", *g],
+                    ["ladder", *g], ["ck", *g], ["ck", *g, "--relative", "none"])
+        for v in json.loads(path.read_text())["vertices"]:
+            yield from (["restrict", *g, "--vertex", v],
+                        ["corner", *g, "--vertex", v])
+    for cmd in ("analyze", "classify"):
+        yield [cmd, "--batch", str(GRAPH_DIR)]
+    yield from (["classify", "--family", "ladder2", "--depth", "7"],
+                ["bratteli", "--family", "ladder2", "--depth", "5",
+                 "--verify-embedding"],
+                ["bratteli", "--family", "ray", "--depth", "6"],
+                ["family", "forbidden_ladder", "--depth", "3"],
+                ["family", "--list"])
+
+
+def test_every_json_report_is_the_bytes_json_dumps_writes(monkeypatch):
+    render, seen = cli_io.render_json, []
+    monkeypatch.setattr(cli_io, "render_json",
+                        lambda obj: seen.append(obj) or render(obj))
+    answered = 0
+    for argv in _every_json_command():
+        seen.clear()
+        code, text = run_command([*argv, "--json"])
+        if code == 0:
+            obj, = seen
+            assert text == _dumps(obj), argv
+            answered += 1
+        else:  # a refused model (a cyclic graph) renders no report
+            assert not seen and text.startswith("error: "), argv
+    assert answered >= 40
 
 
 # --- reports and claim lines -----------------------------------------------------------

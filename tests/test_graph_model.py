@@ -86,6 +86,26 @@ def test_cardinality_rejects_garbage():
         finite(-1)
 
 
+@pytest.mark.parametrize("text", [
+    "finite: 2", "finite:1_0", "finite:\u0663", "finite:+3", "finite:2 ",
+    "finite:-1", "finite:\uff13", "finite:2\n", "finite:\u00b2", "finite:",
+    "finite:" + "9" * 5000,
+])
+def test_finite_counts_are_ascii_decimal_digits(text):
+    # int() would read the first seven as 2, 10, 3, 3, 2, -1 and 3
+    with pytest.raises(GraphBuildError) as ei:
+        Cardinality.parse(text)
+    assert str(ei.value) == f"bad finite cardinality {text!r}"
+
+
+def test_finite_counts_read_every_ascii_decimal_count():
+    assert Cardinality.parse("finite:007") == finite(7)
+    assert Cardinality.parse("finite:12") == finite(12)
+    with pytest.raises(GraphBuildError) as ei:
+        Cardinality.parse("finite:0")
+    assert str(ei.value) == "finite bundle cardinality must be >= 1"
+
+
 # --- graph construction ----------------------------------------------------
 
 
@@ -229,6 +249,20 @@ def test_from_edges_composition():
         Path.from_edges(g, [])
     with pytest.raises(GraphBuildError):
         Path.from_edges(g, ["e1", "e0"])  # doesn't compose
+
+
+def test_path_is_a_value():
+    p, q = Path("v0", "v2", ("e0", "e1")), Path("v0", "v2", ("e0", "e1"))
+    assert p == q and not p != q and hash(p) == hash(q)
+    assert {p: 1}[q] == 1 and len({p, q}) == 1
+    for other in (Path("v1", "v2", ("e0", "e1")), Path("v0", "v1", ("e0", "e1")),
+                  Path("v0", "v2", ("e0",))):
+        assert p != other and not p == other
+    # not equal to the tuple of its fields, nor to anything but a Path
+    assert p != ("v0", "v2", ("e0", "e1")) and p != "e0.e1" and p != None  # noqa: E711
+    assert repr(p) == "Path(source='v0', target='v2', edges=('e0', 'e1'))"
+    assert repr(Path("v", "v", ())) == "Path(source='v', target='v', edges=())"
+    assert (p.source, p.target, p.edges, len(p)) == ("v0", "v2", ("e0", "e1"), 2)
 
 
 def test_path_validate_catches_forged_paths():
