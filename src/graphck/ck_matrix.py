@@ -1,37 +1,38 @@
 """Exact finite-dimensional Cuntz-Krieger matrix models on path bases.
 
 For a finite acyclic graph and a chosen set S of regular vertices, the
-model acts on the free basis of all paths into a terminal vertex (a sink
-or a regular vertex outside S), grown backwards from the terminals: each
-path a yields e.a for every edge e into its source, and s_e sends a to
-e.a.  No other path is made, and a basis of more than ``BASIS_SIZE_BOUND``
-paths (counted by the path-count DP) is refused before it is grown.  The
-growth runs level by level, edges in id order, which lays the basis out in
-(length, edge ids, source) order without sorting it.
-Vertex projections are diagonal idempotents (paths starting at the
-vertex).  With this basis rule the three Cuntz-Krieger identities hold
-exactly, the summation identity holds at precisely the vertices of S,
-and every vertex projection and every gap projection is nonzero — so the
-model is a faithful copy of the relative algebra whenever every cycle
-has an exit (vacuous here: no cycles at all).
+model has one basis position per path into a terminal vertex (a sink or
+a regular vertex outside S), assigned level by level backwards from the
+terminals (``build_ck_family``); a basis of more than
+``BASIS_SIZE_BOUND`` positions (counted by the path-count DP) is refused
+before it is grown.  A model stores each vertex projection as its
+support and each edge isometry as its col -> row map (a partial
+permutation), and nothing else; the path labels (``MatrixRep.basis``)
+are a view for ``--export`` and the tests, rebuilt from the maps.  With
+this basis the three Cuntz-Krieger identities hold exactly, the
+summation identity holds at precisely the vertices of S, and every
+vertex projection and every gap projection is nonzero — so the model is
+a faithful copy of the relative algebra whenever every cycle has an exit
+(vacuous here: no cycles at all).
 
 All arithmetic is integer-exact; no float ever decides a dimension, and
-no matrix is ever multiplied.  A model stores each vertex projection as
-its support and each edge isometry as its col -> row map (a partial
-permutation), and runs one relation pass over them (``MatrixRep.report``)
-in time linear in their size: ``verify_ck`` reports it, and the gaps, the
-dimension certificate (``_certified_rank``) and the stage embedding
-certificate (``bratteli.embed_check``) require it.  A path operator
-composes its edges' maps.  The certified rank is the sum over terminal
-vertices of the squared number of basis paths into each; no unit S_a S_b*
-is formed.  ``IntMatrix`` is a view for outside readers; elimination over
-every path-pair unit, and the relations as its products, are test oracles.
+no matrix is ever multiplied.  One relation pass over the maps
+(``MatrixRep.report``), linear in their size, backs ``verify_ck``, the
+gaps and the stage embedding certificate (``bratteli.embed_check``).
+One certificate pass (``MatrixRep.leads``) then checks that every map
+keeps the basis order, that each terminal's least support position (its
+lead) lies outside its out-edges' ranges, and that the paths into the
+terminals number the positions.  Dimensions, corners and blocks read the
+path counts n_t off the graph's path-count DP: no path map is composed
+and no unit S_a S_b* is formed.  ``IntMatrix`` is a view for outside
+readers; composed path maps, elimination over every path-pair unit, and
+the relations as matrix products are test oracles.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BoundExceededError,
@@ -101,24 +102,18 @@ def terminal_vertices(g: Graph, spec: RelativeSpec) -> list[str]:
 
 @dataclass
 class MatrixRep:
-    """The assembled model: basis paths, each vertex's support, each edge's
-    col -> row map.  Every check reads the one relation pass (``report``),
-    cached on first use, so a model is not edited after its first check.
-    ``vertex_projections`` and ``edge_isometries`` are ``IntMatrix`` views,
-    built on first access."""
+    """The assembled model: each vertex's support and each edge's col -> row
+    map over the basis positions 0..dim-1.  Every check reads the one
+    relation pass (``report``) and the one certificate pass (``leads``),
+    each cached on first use, so a model is not edited after its first
+    check.  ``basis``, ``vertex_projections`` and ``edge_isometries`` are
+    views, built on first access."""
 
     graph: Graph
     spec: RelativeSpec
-    basis: tuple[Path, ...]
     supports: dict[str, frozenset[int]]
     edge_maps: dict[str, dict[int, int]]
-    # composed path maps of two or more edges, keyed by the edge tuple
-    _composed: dict[tuple[str, ...], dict[int, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    dim: int
 
     @functools.cached_property
     def covers(self) -> dict[str, tuple[set[int], bool]]:
@@ -149,26 +144,58 @@ class MatrixRep:
             raise InternalCheckError(self.report.failures[0])
         return self
 
-    def path_map(self, path: Path) -> dict[int, int]:
-        """The col -> row map of a path operator.  A trivial path's map is
-        the identity on its vertex's support; any other path's is its first
-        edge's map after the map of the rest, memoised on the edge tuple.
-        The recursion on suffixes runs on a list, not the call stack, so a
-        path may be longer than the interpreter's recursion limit."""
-        if path.is_trivial:
-            return {i: i for i in self.supports[path.source]}
-        edges, maps, memo = path.edges, self.edge_maps, self._composed
-        pending = []  # suffixes whose maps are still to compose, longest first
-        while len(edges) > 1 and (m := memo.get(edges)) is None:
-            pending.append(edges)
-            edges = edges[1:]
-        if len(edges) == 1:
-            m = maps[edges[0]]
-        for suffix in reversed(pending):
-            first = maps[suffix[0]]
-            m = {c: first[r] for c, r in m.items() if r in first}
-            memo[suffix] = m
-        return m
+    @functools.cached_property
+    def leads(self) -> dict[str, int]:
+        """The certificate pass, after the relation pass finds no failure;
+        each terminal's lead position, by terminal.
+
+        It checks that every edge map keeps the basis order (rows rise
+        with columns); that each terminal t's least support position lies
+        outside its out-edges' ranges — a nonzero p_t at a sink, or a
+        nonzero gap off the spec — which makes it t's lead; and that the
+        paths into the terminals, counted by the path-count DP, number
+        ``dim``."""
+        g = self.checked().graph
+        for e, m in self.edge_maps.items():
+            rows = list(map(m.__getitem__, sorted(m)))
+            if rows != sorted(rows):
+                raise InternalCheckError(
+                    f"generator s_{e} does not keep the basis order")
+        leads: dict[str, int] = {}
+        for t in terminal_vertices(g, self.spec):
+            lead = min(self.supports[t], default=None)
+            if lead is None or lead in self.covers[t][0]:
+                raise InternalCheckError(
+                    f"terminal {t} has no lead position outside its "
+                    "out-edges' ranges")
+            leads[t] = lead
+        paths = sum(map(count_paths_ending(g).__getitem__, leads))
+        if paths != self.dim:
+            raise InternalCheckError(
+                f"model has {self.dim} positions; its terminals have "
+                f"{paths} paths into them")
+        return leads
+
+    @functools.cached_property
+    def basis(self) -> tuple[Path, ...]:
+        """Each position's path label, rebuilt from the certified maps: a
+        terminal's lead position is its trivial path, and each entry
+        c -> r of s_e labels r as e.label(c)."""
+        into: dict[str, list] = {v: [] for v in self.graph.vertices}
+        for e in self.graph.finite_edges():
+            into[e.dst].append(e)
+        labels: list = [None] * self.dim
+        for t, i in self.leads.items():
+            labels[i] = Path(t, t, ())
+        todo = list(self.leads.values())
+        while todo:
+            c = todo.pop()
+            a = labels[c]
+            for e in into[a.source]:
+                r = self.edge_maps[e.id][c]
+                labels[r] = Path(e.src, a.target, (e.id,) + a.edges)
+                todo.append(r)
+        return tuple(labels)
 
     @functools.cached_property
     def vertex_projections(self) -> dict[str, IntMatrix]:
@@ -182,12 +209,13 @@ class MatrixRep:
 
 
 def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
-    """Assemble the model, growing the basis level by level.
+    """Assemble the model, assigning basis positions level by level.
 
-    Level 0 is the trivial paths at the sorted terminals; level L+1 is
-    e.a for each edge e in id order and each level-L path a starting at
-    e's range, in level order.  That is ``Path.sort_key`` order, so no
-    path is compared, and s_e's map gets each entry as e.a is appended."""
+    Level 0 is one position per sorted terminal, for its trivial path;
+    level L+1 gives each edge e, in id order, a new position for each
+    level-L position at e's range, in level order, and records it as s_e's
+    row for that column.  That is the ``Path.sort_key`` order of the paths
+    the positions stand for, so no path is made or compared."""
     _check_model_graph(g)
     terms = terminal_vertices(g, spec)
     ending = count_paths_ending(g)
@@ -201,28 +229,27 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
         into[e.dst].append(i)
     col_to_row: dict[str, dict[int, int]] = {e.id: {} for e in edges}
     by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
-    basis = [Path(t, t, ()) for t in terms]
-    # each source's paths of the last level, by basis position
+    dim = len(terms)
+    # each source's positions on the last level
     level = {t: [i] for i, t in enumerate(terms)}
     while level:
         grown: dict[str, list[int]] = {}
         for i in sorted(i for v in level for i in into[v]):
             e = edges[i]
-            first, row, m = (e.id,), len(basis), col_to_row[e.id]
-            for a in level[e.dst]:
-                tail = basis[a]
-                m[a] = len(basis)
-                basis.append(Path(e.src, tail.target, first + tail.edges))
-            grown.setdefault(e.src, []).extend(range(row, len(basis)))
+            cols = level[e.dst]
+            rows = range(dim, dim + len(cols))
+            col_to_row[e.id].update(zip(cols, rows))
+            grown.setdefault(e.src, []).extend(rows)
+            dim = rows.stop
         for v, rows in level.items():
             by_source[v] += rows
         level = grown
-    if len(basis) != size:
+    if dim != size:
         raise InternalCheckError(
-            f"grown basis holds {len(basis)} paths; the path count is {size}")
-    return MatrixRep(g, spec, tuple(basis),
+            f"grown basis holds {dim} paths; the path count is {size}")
+    return MatrixRep(g, spec,
                      {v: frozenset(idxs) for v, idxs in by_source.items()},
-                     col_to_row)
+                     col_to_row, dim)
 
 
 # --- verification ---------------------------------------------------------
@@ -341,64 +368,40 @@ def gap_projections(rep: MatrixRep) -> dict[str, GapEntry]:
 # --- dimensions, blocks, corners -------------------------------------------
 
 
-def _certified_rank(rep: MatrixRep, source: str | None) -> int:
-    """Exact rank of the span of every unit S_a S_b* with a, b sharing a
-    range (and both starting at ``source``, unless it is None).
+def _certified_rank(rep: MatrixRep, counts: dict[str, int]) -> int:
+    """Exact rank of the span of every unit S_a S_b* with a, b in a family
+    of paths (every path, or every path from one vertex) sharing a range,
+    where ``counts`` holds the number of the family's paths into each
+    vertex: the sum over terminal vertices t of n_t squared.
 
     Upper bound: the relation pass (``verify_ck``'s) must find no failure.
     Then s_e* s_e = p_r(e) for every edge, and p_v = sum of s_e s_e* over
     the edges out of each imposed vertex v, so S_a S_b* = S_a p_v S_b* =
     sum_e S_ae S_be* whenever a and b share the imposed range v.  The graph
-    is acyclic, so repeating this ends in pairs with a terminal range,
-    which are pairs of basis paths: their units span every unit.
+    is acyclic, so repeating this ends in pairs with a terminal range:
+    their n_t**2 units per terminal t span every unit.
 
-    Lower bound: every basis path a into t sends the trivial path at t to
-    a itself, as its least row, so (index a, index b) is the least
-    position of S_a S_b*.  Distinct pairs lead at distinct positions, so
-    their units are independent.  With the basis holding every path into
-    each terminal t (checked against the path-count DP), the rank is the
-    sum of n_t squared, n_t the number of basis paths into t.  Cost:
-    the size of the path maps; no pair is formed.
+    Lower bound: the certificate pass (``MatrixRep.leads``) must pass too.
+    Then a -> S_a(lead_t) is injective on the graph paths into the
+    terminals: the maps are injective, and after their common first edges
+    two distinct paths either go on by distinct edges, whose ranges are
+    disjoint, or one stops at its terminal t while the other leaves t by
+    an edge whose range t's lead lies outside.  S_a's domain is supp p_t,
+    whose least position is lead_t, and every map keeps the basis order,
+    so S_a(lead_t) is S_a's least row and (S_a(lead_t), S_b(lead_t)) the
+    least entry of S_a S_b*.  Distinct pairs lead at distinct entries, so
+    their units are independent.  Cost: the certificate pass; no path is
+    composed and no pair is formed.
     """
-    g = rep.checked().graph
-    # positions of the basis's trivial paths, found in one scan: a
-    # hand-built basis need not be sorted
-    at = {p: i for i, p in enumerate(rep.basis) if not p.edges}
-    trivial: dict[str, int] = {}
-    for t in terminal_vertices(g, rep.spec):
-        i = at.get(Path(t, t, ()))
-        if i is None:
-            raise InternalCheckError(
-                f"basis has no trivial path at terminal {t}")
-        trivial[t] = i
-    counts = dict.fromkeys(trivial, 0)
-    for i, a in enumerate(rep.basis):
-        if source is not None and a.source != source:
-            continue
-        t = a.target
-        m = rep.path_map(a)
-        if m.get(trivial.get(t)) != i or min(m.values()) != i:
-            raise InternalCheckError(
-                f"path {a.label()} does not send {t} to itself "
-                "as its least row")
-        counts[t] += 1
-    expected = (count_paths_ending(g) if source is None
-                else count_paths_from(g, source))
-    total = 0
-    for t, n in counts.items():
-        if n != expected[t]:
-            raise InternalCheckError(
-                f"basis holds {n} of the {expected[t]} paths into {t}")
-        total += n * n
-    return total
+    return sum(counts[t] ** 2 for t in rep.leads)
 
 
 def algebra_dimension(rep: MatrixRep) -> int:
     """Linear dimension of the span of all path-pair operators S_a S_b*
-    (a, b with a common range): the exact rank over the rationals, certified
-    from the path maps as the sum over terminal vertices of the squared
-    count of basis paths ending there (one full matrix block each)."""
-    return _certified_rank(rep, None)
+    (a, b with a common range): the exact rank over the rationals,
+    certified as the sum over terminal vertices of the squared count of
+    paths ending there (one full matrix block each)."""
+    return _certified_rank(rep, count_paths_ending(rep.graph))
 
 
 @dataclass(frozen=True)
@@ -408,18 +411,17 @@ class Block:
 
 
 def block_decomposition(rep: MatrixRep) -> list[Block]:
-    """One full matrix block per sink; sizes count basis paths into each
-    sink.  Only defined for the full relative spec — excluded regular
-    vertices leave gap summands that mix into the blocks, so refuse."""
+    """One full matrix block per sink; sizes count the paths into each sink,
+    certified as for ``algebra_dimension``.  Only defined for the full
+    relative spec — excluded regular vertices leave gap summands that mix
+    into the blocks, so refuse."""
     full = frozenset(regular_vertices(rep.graph))
     if rep.spec.imposed != full:
         raise RelativeSpecError(
             "block decomposition needs the summation identity at every "
             "regular vertex")
-    counts: dict[str, int] = {}
-    for p in rep.basis:
-        counts[p.target] = counts.get(p.target, 0) + 1
-    return [Block(v, counts.get(v, 0)) for v in sorted(sinks(rep.graph))]
+    ending = count_paths_ending(rep.graph)
+    return [Block(t, ending[t]) for t in sorted(rep.leads)]
 
 
 @dataclass(frozen=True)
@@ -433,22 +435,20 @@ def corner(rep: MatrixRep, v: str) -> CornerSummary:
     """The compression of the model by one vertex projection.
 
     Its dimension is the exact rank of the span of path-pair operators
-    with both paths starting at the vertex, certified from the path maps
-    as the sum of squared counts of basis paths from ``v`` into each
-    terminal vertex.  The corner is full exactly when the vertex
-    projection meets every matrix block, i.e. when every terminal vertex
-    is the range of some path from ``v``.
+    with both paths starting at the vertex, certified as the sum of
+    squared counts of paths from ``v`` into each terminal vertex.  The
+    corner is full exactly when the vertex projection meets every matrix
+    block, i.e. when every terminal vertex is the range of some path from
+    ``v``.
     """
-    rep.graph.require_vertex(v)
-    dim = _certified_rank(rep, v)
-    terminals = set(terminal_vertices(rep.graph, rep.spec))
-    reached = {p.target for p in rep.basis if p.source == v}
-    return CornerSummary(v, dim, reached == terminals)
+    from_v = count_paths_from(rep.graph, v)
+    return CornerSummary(v, _certified_rank(rep, from_v),
+                         all(from_v[t] for t in rep.leads))
 
 
 def export_model(rep: MatrixRep) -> dict:
-    """JSON-ready form: basis path labels plus sparse triples for every
-    generator."""
+    """JSON-ready form: the basis view's path labels plus sparse triples
+    for every generator."""
     return {
         "basis": [p.label() for p in rep.basis],
         "p": {v: [[i, i, 1] for i in sorted(s)]

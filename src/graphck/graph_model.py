@@ -152,10 +152,6 @@ class Graph:
         self.require_vertex(v)
         return self._out[v]
 
-    def in_bundles(self, v: str) -> list[EdgeBundle]:
-        self.require_vertex(v)
-        return self._in[v]
-
     def is_sink(self, v: str) -> bool:
         return not self.out_bundles(v)
 
@@ -253,9 +249,9 @@ class Path:
     ``target``.  Length-0 paths are single vertices.
 
     A value (equal and hash-equal on equal fields, never equal to a plain
-    tuple) kept in ``__slots__``: a model builds one per basis path, and
-    this costs a third of a frozen dataclass's construction.  Nothing
-    assigns to a field after construction."""
+    tuple) kept in ``__slots__``: a model's basis view makes one per
+    position, and this costs a third of a frozen dataclass's construction.
+    Nothing assigns to a field after construction."""
 
     __slots__ = ("source", "target", "edges")
 

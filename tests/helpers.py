@@ -435,7 +435,7 @@ def brute_reaches_all_singular(g: Graph) -> bool:
         back = {s}
         todo = [s]
         while todo:
-            for b in g.in_bundles(todo.pop()):
+            for b in g._in[todo.pop()]:
                 if b.src not in back:
                     back.add(b.src)
                     todo.append(b.src)
@@ -468,7 +468,8 @@ def path_basis(g: Graph, spec: RelativeSpec,
 
 def enumerated_ck_family(g: Graph, spec: RelativeSpec,
                          all_paths: list[Path] | None = None) -> MatrixRep:
-    """Assemble the model for a finite acyclic graph with finite bundles."""
+    """Assemble the model for a finite acyclic graph with finite bundles,
+    one position per ``path_basis`` path, in that order."""
     basis = path_basis(g, spec, all_paths)
     index: dict[Path, int] = {p: i for i, p in enumerate(basis)}
 
@@ -483,9 +484,79 @@ def enumerated_ck_family(g: Graph, spec: RelativeSpec,
             extended = Path(e.src, tail.target, (e.id,) + tail.edges)
             col_to_row[i] = index[extended]
         edge_maps[e.id] = col_to_row
-    return MatrixRep(g, spec, tuple(basis),
+    return MatrixRep(g, spec,
                      {v: frozenset(idxs) for v, idxs in by_source.items()},
-                     edge_maps)
+                     edge_maps, len(basis))
+
+
+# --- composed path maps ------------------------------------------------------------
+#
+# The route the dimension certificate took before it read the path-count DP:
+# compose each path's map from its edges' maps.
+
+
+def path_composer(rep):
+    """A function giving the col -> row map of each path operator of
+    ``rep``.  A trivial path's map is the identity on its vertex's support;
+    any other path's is its first edge's map after the map of the rest,
+    memoised on the edge tuple.  The recursion on suffixes runs on a list,
+    not the call stack, so a path may be longer than the interpreter's
+    recursion limit."""
+    maps = rep.edge_maps
+    memo: dict[tuple[str, ...], dict[int, int]] = {}
+
+    def path_map(path: Path) -> dict[int, int]:
+        if path.is_trivial:
+            return {i: i for i in rep.supports[path.source]}
+        edges = path.edges
+        pending = []  # suffixes whose maps are still to compose, longest first
+        while len(edges) > 1 and (m := memo.get(edges)) is None:
+            pending.append(edges)
+            edges = edges[1:]
+        if len(edges) == 1:
+            m = maps[edges[0]]
+        for suffix in reversed(pending):
+            first = maps[suffix[0]]
+            m = {c: first[r] for c, r in m.items() if r in first}
+            memo[suffix] = m
+        return m
+
+    return path_map
+
+
+def least_row_dimension(rep, source: str | None) -> int:
+    """The composed least-row route the dimension certificate replaced.
+
+    The positions are labelled by the enumerated ``path_basis``.  Each
+    basis path a into a terminal t (starting at ``source``, unless it is
+    None) must send t's trivial path to a itself as its least row, so the
+    unit S_a S_b* leads at (index a, index b); the basis must hold every
+    such path the path-count DP counts; the rank is then the sum of the
+    squared counts.  A failed check raises ``InternalCheckError``."""
+    g = rep.checked().graph
+    basis = path_basis(g, rep.spec)
+    if len(basis) != rep.dim:
+        raise InternalCheckError(
+            f"model has {rep.dim} positions for {len(basis)} basis paths")
+    trivial = {p.source: i for i, p in enumerate(basis) if p.is_trivial}
+    compose = path_composer(rep)
+    counts = dict.fromkeys(trivial, 0)
+    for i, a in enumerate(basis):
+        if source is not None and a.source != source:
+            continue
+        m = compose(a)
+        if m.get(trivial[a.target]) != i or min(m.values()) != i:
+            raise InternalCheckError(
+                f"path {a.label()} does not send {a.target} to itself "
+                "as its least row")
+        counts[a.target] += 1
+    expected = (count_paths_ending(g) if source is None
+                else count_paths_from(g, source))
+    for t, n in counts.items():
+        if n != expected[t]:
+            raise InternalCheckError(
+                f"basis holds {n} of the {expected[t]} paths into {t}")
+    return sum(n * n for n in counts.values())
 
 
 # --- general-product model oracles ---------------------------------------------------
@@ -634,9 +705,10 @@ def rank_dimension(rep, source: str | None) -> int:
     for p in enumerate_paths(rep.graph):
         if source is None or p.source == source:
             groups.setdefault(p.target, []).append(p)
+    compose = path_composer(rep)
     vectors = []
     for group in groups.values():
-        ms = [rep.path_map(p) for p in group]
+        ms = [compose(p) for p in group]
         vectors.extend(matrix_unit(ma, mb, rep.dim) for ma in ms for mb in ms)
     return exact_rank(vectors)
 

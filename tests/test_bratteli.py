@@ -39,7 +39,6 @@ from graphck import (
 from graphck import cli_io, graph_model
 from graphck.bratteli import CORNER, TAIL, EmbedReport
 from graphck.families import builtin_family
-from graphck.ck_matrix import MatrixRep
 
 import helpers
 from helpers import graphs, product_embed_check, size_of, two_sinks
@@ -559,16 +558,23 @@ def test_embed_check_refuses_a_tampered_bigger_model(tamper, expected):
 
 
 def test_deep_embedding_composes_no_path_and_forms_no_unit(monkeypatch):
+    # the embedding, dimension and corner certificates on a deep stage, with
+    # the path composer and the unit former of the oracles refusing
     def refuse(*args, **kwargs):
-        raise AssertionError("the embedding certificate composed a path "
-                             "or formed a unit")
+        raise AssertionError("a certificate composed a path or formed a unit")
 
-    monkeypatch.setattr(MatrixRep, "path_map", refuse)
+    monkeypatch.setattr(helpers, "path_composer", refuse)
     monkeypatch.setattr(helpers, "matrix_unit", refuse)
-    code, text = run_command(["bratteli", "--family", "ladder2", "--depth",
-                              "12", "--verify-embedding"])
+    stage = ["--family", "ladder2", "--depth", "12"]
+    code, text = run_command(["bratteli", *stage, "--verify-embedding"])
     assert code == 0, text
     assert "pass (4190209 matrix units, exact)" in text
+    code, text = run_command(["ck", *stage, "--relative", "all"])
+    assert code == 0, text
+    assert f"algebra dimension: {(2 ** 12 - 1) ** 2} " in text
+    code, text = run_command(["corner", *stage, "--vertex", "w_1"])
+    assert code == 0, text
+    assert f"dimension {(2 ** 11) ** 2} " in text
 
 
 def test_verify_embedding_builds_only_the_bigger_stage(monkeypatch):

@@ -34,6 +34,7 @@ from graphck import (
     ray_family,
     regular_vertices,
     run_command,
+    sinks,
     terminal_vertices,
     verify_ck,
 )
@@ -104,7 +105,9 @@ def test_path_basis_order_g1():
 def _assert_builders_agree(g, spec, paths=None):
     rep = build_ck_family(g, spec)
     enumerated = helpers.enumerated_ck_family(g, spec, paths)
-    assert rep.basis == enumerated.basis
+    # the labels rebuilt from the maps are the enumerated path list
+    assert list(rep.basis) == helpers.path_basis(g, spec, paths)
+    assert rep.dim == enumerated.dim
     doc = export_model(rep)
     assert doc == export_model(enumerated)
     # the sorted entries of the IntMatrix views: the route export_model
@@ -230,11 +233,12 @@ def test_path_matrix_products():
     # a path's composed col -> row map is the product of its edge isometries
     g = line(3)
     rep = build_ck_family(g, RelativeSpec.full(g))
+    compose = helpers.path_composer(rep)
     p = Path.from_edges(g, ["e0", "e1"])
-    assert IntMatrix.from_partial_perm(rep.path_map(p), rep.dim) == \
+    assert IntMatrix.from_partial_perm(compose(p), rep.dim) == \
         rep.edge_isometries["e0"] @ rep.edge_isometries["e1"]
     trivial = Path.trivial(g, "v0")
-    assert IntMatrix.from_partial_perm(rep.path_map(trivial), rep.dim) == \
+    assert IntMatrix.from_partial_perm(compose(trivial), rep.dim) == \
         rep.vertex_projections["v0"]
 
 
@@ -420,8 +424,9 @@ def test_dimension_matches_product_route_under_every_spec(g):
     paths = enumerate_paths(g)
     for spec in all_specs(g):
         rep = build_ck_family(g, spec)
+        compose = helpers.path_composer(rep)
         for p in paths:
-            assert IntMatrix.from_partial_perm(rep.path_map(p), rep.dim) == \
+            assert IntMatrix.from_partial_perm(compose(p), rep.dim) == \
                 product_path_matrix(rep, p)
         units = product_unit_vectors(rep, _by_target(paths))
         assert algebra_dimension(rep) == fraction_rank(units)
@@ -666,6 +671,96 @@ def test_certificate_matches_elimination_route_on_family_stages(sg, depth,
                     (n, spec, v)
 
 
+def _assert_certificate_matches_oracles(g, spec):
+    # the dimension, the corner at every vertex and, under the full spec,
+    # the block sizes against elimination and the composed least-row route
+    rep = build_ck_family(g, spec)
+    for source in (None, *g.vertices):
+        got = (algebra_dimension(rep) if source is None
+               else corner(rep, source).dimension)
+        assert got == rank_dimension(rep, source), (spec, source)
+        assert got == helpers.least_row_dimension(rep, source), (spec, source)
+    if spec == RelativeSpec.full(g):
+        sizes = {b.terminal: b.size for b in block_decomposition(rep)}
+        assert sizes == {t: sum(p.target == t for p in rep.basis)
+                         for t in sinks(g)}
+        assert sum(n * n for n in sizes.values()) == rank_dimension(rep, None)
+
+
+def test_certificate_matches_both_oracles_on_universe_slice():
+    # every spec of one graph in 40 of acceptance criterion 4's universe
+    for n, arcs in helpers.acyclic_universe(5, 6)[::40]:
+        g = graph_of(n, arcs)
+        for spec in all_specs(g):
+            _assert_certificate_matches_oracles(g, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(acyclic=True, max_vertices=5, max_bundles=6), st.data())
+def test_certificate_matches_both_oracles_on_multigraphs(g, data):
+    regs = regular_vertices(g)
+    imposed = data.draw(st.sets(st.sampled_from(regs))) if regs else set()
+    _assert_certificate_matches_oracles(g, RelativeSpec.of(imposed))
+
+
+def _swap_parallel_ranges(rng, rep):
+    # two parallel edges trade maps: same domain, ranges in the same support
+    g = rep.graph
+    twins = [(a.id, b.id) for a in g.finite_edges() for b in g.finite_edges()
+             if a.id < b.id and (a.src, a.dst) == (b.src, b.dst)]
+    if twins:
+        a, b = rng.choice(twins)
+        rep.edge_maps[a], rep.edge_maps[b] = rep.edge_maps[b], rep.edge_maps[a]
+
+
+def _shuffle_a_range(rng, rep):
+    # one edge's rows permuted among themselves
+    m = rep.edge_maps[rng.choice(sorted(rep.edge_maps))]
+    rows = list(m.values())
+    rng.shuffle(rows)
+    m.update(zip(list(m), rows))
+
+
+def _relabel_positions(rng, rep):
+    # the whole model conjugated by a permutation of its positions
+    perm = list(range(rep.dim))
+    rng.shuffle(perm)
+    for v, s in rep.supports.items():
+        rep.supports[v] = frozenset(perm[i] for i in s)
+    for e, m in rep.edge_maps.items():
+        rep.edge_maps[e] = {perm[c]: perm[r] for c, r in m.items()}
+
+
+def test_relation_preserving_tampers_never_mislead_the_certificate():
+    # tampers that keep every relation: the certificate may refuse, but a
+    # value it returns is the elimination route's
+    rng = random.Random(20)
+    answered = refused = 0
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        pairs = [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 6))]
+        g = Graph(helpers.vertex_names(n),
+                  [EdgeBundle(f"e{i}", f"v{a}", f"v{b}", finite(rng.randint(1, 3)))
+                   for i, (a, b) in enumerate(pairs)])
+        regs = regular_vertices(g)
+        spec = RelativeSpec.of(v for v in regs if rng.random() < 0.5)
+        for source in (None, rng.choice(g.vertices)):
+            rep = build_ck_family(g, spec)
+            for _ in range(rng.choice([1, 1, 2])):
+                rng.choice([_swap_parallel_ranges, _shuffle_a_range,
+                            _relabel_positions])(rng, rep)
+            assert verify_ck(rep).failures == []
+            try:
+                got = (algebra_dimension(rep) if source is None
+                       else corner(rep, source).dimension)
+            except InternalCheckError:
+                refused += 1
+                continue
+            answered += 1
+            assert got == rank_dimension(rep, source)
+    assert answered >= 200 and refused >= 100, (answered, refused)
+
+
 # --- each certificate check fails on a tampered model ----------------------------
 
 
@@ -702,6 +797,35 @@ def _lower_a_row(rep):
     rep.edge_maps["e0"] = {1: 3, 4: 0}
 
 
+# every relation still holds after each tamper below; only the certificate
+# pass refuses
+
+
+def _map_onto_a_lead(rep):
+    # g1's Toeplitz model (v, w, e): s_e sends w onto v's own position, so
+    # v's least support position is in an out-edge's range; position 2 is
+    # left uncovered, so the summation identity still fails at v
+    rep.edge_maps["e"] = {1: 0}
+
+
+def _isolated_sink() -> Graph:
+    return Graph(["u", "v", "w"], [EdgeBundle("e", "v", "w")])
+
+
+def _empty_isolated_sink(rep):
+    # no edge reads u's support, so emptying it breaks no relation
+    rep.supports["u"] = frozenset()
+
+
+def _stray_position(rep):
+    # g1's Toeplitz model with a fourth position, in p_v and in the size
+    rep.supports["v"] = rep.supports["v"] | {3}
+    rep.dim = 4
+
+
+_NO_LEAD = "has no lead position outside its out-edges' ranges"
+
+
 _TAMPERED = [
     (g1, "all", _drop_edge_entry, "ck1 fails at edge e"),
     (_parallel_pair, "all", _overlap_ranges,
@@ -710,13 +834,19 @@ _TAMPERED = [
     (_parallel_pair, "all", _widen_projection,
      "vertex projections v, w not orthogonal"),
     (lambda: line(3), "none", _swap_isometry_rows,
-     "path e0 does not send v1 to itself as its least row"),
+     "generator s_e0 does not keep the basis order"),
     (lambda: line(3), "none", _lower_a_row,
-     "path e0 does not send v1 to itself as its least row"),
+     "generator s_e0 does not keep the basis order"),
+    (g1, "none", _map_onto_a_lead, f"terminal v {_NO_LEAD}"),
+    (_isolated_sink, "all", _empty_isolated_sink, f"terminal u {_NO_LEAD}"),
+    (_isolated_sink, "none", _empty_isolated_sink, f"terminal u {_NO_LEAD}"),
+    (g1, "none", _stray_position,
+     "model has 4 positions; its terminals have 3 paths into them"),
 ]
 
 
-_TAMPERED_IDS = ["domain", "overlap", "cover", "support", "lead", "least_row"]
+_TAMPERED_IDS = ["domain", "overlap", "cover", "support", "lead", "least_row",
+                 "lead_in_range", "empty_sink", "empty_sink_toeplitz", "stray"]
 
 
 def _tampered(make, relative, tamper):
@@ -761,8 +891,7 @@ def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
 
 
 @pytest.mark.parametrize("make", [g1, diamond, lambda: ladder_family(2).stage(3),
-                                  lambda: Graph(["u", "v", "w"],
-                                                [EdgeBundle("e", "v", "w")])],
+                                  _isolated_sink],
                          ids=["g1", "diamond", "ladder2", "isolated"])
 @pytest.mark.parametrize("relative", ["all", "none"])
 def test_ck_exits_4_when_a_vertex_projection_is_zero(make, relative, tmp_path,
@@ -792,52 +921,11 @@ def test_basis_missing_a_path_fails_its_certificate():
     # (e, w) and (e, e) would be missed; s_e then fills p_v, so the
     # summation identity holds where it is not imposed
     g = g1()
-    v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
-    rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w),
-                    {"v": frozenset({0}), "w": frozenset({1})}, {"e": {1: 0}})
+    rep = MatrixRep(g, RelativeSpec.toeplitz(),
+                    {"v": frozenset({0}), "w": frozenset({1})}, {"e": {1: 0}}, 2)
     with pytest.raises(InternalCheckError,
                        match=re.escape("ck3 at v: held=True, imposed=False")):
         algebra_dimension(rep)
-
-
-def test_corner_basis_missing_a_path_fails_its_certificate():
-    # g1's Toeplitz model with basis path e recorded as a path from w: every
-    # relation holds and the whole basis passes its least-row check, so the
-    # algebra's dimension is still right, but the corner at v reads the
-    # sources and finds no basis path from v into w
-    g = g1()
-    v, w = Path.trivial(g, "v"), Path.trivial(g, "w")
-    stray = Path("w", "w", ("e",))
-    rep = MatrixRep(g, RelativeSpec.toeplitz(), (v, w, stray),
-                    {"v": frozenset({0, 2}), "w": frozenset({1})}, {"e": {1: 2}})
-    assert verify_ck(rep).failures == []
-    assert algebra_dimension(rep) == 5
-    with pytest.raises(InternalCheckError,
-                       match=re.escape("basis holds 0 of the 1 paths into w")):
-        corner(rep, "v")
-
-
-def test_basis_without_a_terminal_trivial_path_fails_its_certificate(
-        tmp_path, monkeypatch):
-    # g1's full model with its basis path w relabelled as the non-path
-    # e.e from v: the generators are untouched, so every relation holds,
-    # but the certificate finds no trivial path at the terminal w
-    g = g1()
-    rep = build_ck_family(g, RelativeSpec.full(g))
-    stray = Path("v", "w", ("e", "e"))
-    tampered = MatrixRep(g, rep.spec, (stray, rep.basis[1]),
-                         rep.supports, rep.edge_maps)
-    assert verify_ck(tampered).failures == []
-    message = "basis has no trivial path at terminal w"
-    with pytest.raises(InternalCheckError) as ei:
-        algebra_dimension(tampered)
-    assert str(ei.value) == message
-
-    monkeypatch.setattr(cli_io, "build_ck_family", lambda *args: tampered)
-    doc = tmp_path / "g1.json"
-    doc.write_text(json.dumps(emit_graph_document(g)))
-    code, text = run_command(["ck", "--graph", str(doc), "--relative", "all"])
-    assert (code, text) == (4, f"error: internal check failed: {message}")
 
 
 # --- deep models -------------------------------------------------------------------

@@ -35,7 +35,7 @@ from graphck.classifier import LADDER_WORK_BOUND
 from graphck.graph_model import STAGE_WORK_BOUND
 from graphck.ideal_lattice import BASIS_SIZE_BOUND
 
-from helpers import g1, graphs, two_sinks
+from helpers import g1, graphs, line, two_sinks
 
 GRAPH_DIR = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "graphs"
 
@@ -815,6 +815,20 @@ def test_model_basis_past_the_bound_is_refused_before_it_is_built(tmp_path):
         assert run.returncode == 3, run.stderr
         assert run.stderr.strip() == message
         assert "Traceback" not in run.stderr + run.stdout
+
+
+def test_long_line_models_are_certified_in_linear_space(tmp_path):
+    # a 15,000-vertex line: the corner at its top and the full model's
+    # dimension read the path counts, with no path map composed (composing
+    # every suffix from the top would keep about n^2/2 edge ids)
+    n = 15_000
+    doc = tmp_path / "line.json"
+    doc.write_text(json.dumps(emit_graph_document(line(n))))
+    for argv, dimension in ((["corner", "--vertex", "v0"], 1),
+                            (["ck", "--relative", "all"], n * n)):
+        run = _run_capped([*argv, "--graph", str(doc), "--json"])
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["dimension"] == dimension
 
 
 @pytest.mark.parametrize("argv, code, bound", [
