@@ -191,21 +191,24 @@ def tail_chain(sg: StagedGraph, depth: int) -> BratteliChain:
                 "need exactly one")
         t = step.sink
         if prev_sink is not None:
-            if g is None:
-                outs = [b for b in step.bundles if b.src == prev_sink]
-                edges = sum(b.cardinality.count for b in outs)
+            if g is None:  # the old sink's bundles all lie in the delta
+                edges = 0
+                for b in step.bundles:
+                    if b.src == prev_sink:
+                        edges, out = edges + b.cardinality.count, b
             else:
-                outs = g.out_bundles(prev_sink)
                 edges = g.out_degree(prev_sink)
-            if len(outs) != 1 or edges != 1:
+                out = g.out_bundles(prev_sink)[0] if edges == 1 else None
+            # a bundle holds at least one edge, so one edge is one bundle
+            if edges != 1:
                 raise SpineError(
                     f"{sg.name}: old sink {prev_sink!r} emits "
                     f"{edges if edges is not None else 'infinitely many'} "
                     f"edges at stage {n}; a tail extends by exactly one")
-            if outs[0].dst != t:
+            if out.dst != t:
                 raise ChainError(
-                    f"{sg.name}: tail edge {outs[0].id!r} lands on "
-                    f"{outs[0].dst!r}, not the stage-{n} sink {t!r}")
+                    f"{sg.name}: tail edge {out.id!r} lands on "
+                    f"{out.dst!r}, not the stage-{n} sink {t!r}")
         counts = _spread(step, counts, 1) if g is None else count_paths_ending(g)
         d.append(counts[t])
         prev_sink = t

@@ -50,8 +50,14 @@ from .graph_model import (
     has_cycle,
     regular_vertices,
     sinks,
+    topological_order,
 )
 from .ideal_lattice import BASIS_SIZE_BOUND
+
+# edge ids over every path label one export writes: the labels of a model
+# within BASIS_SIZE_BOUND can hold far more, up to about n^3/6 on an
+# n-vertex line
+EXPORT_LABEL_BOUND = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -250,6 +256,30 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
     return MatrixRep(g, spec,
                      {v: frozenset(idxs) for v, idxs in by_source.items()},
                      col_to_row, dim)
+
+
+def admit_export(g: Graph, spec: RelativeSpec) -> None:
+    """Refuse, before the model is built, an export whose path labels would
+    hold more than ``EXPORT_LABEL_BOUND`` edge ids.  A path-length DP runs
+    beside the path-count one: over a bundle of k edges, the paths into its
+    range gain k times the paths into its source, each one edge longer.  A
+    basis past ``BASIS_SIZE_BOUND`` is left to ``build_ck_family``, which
+    refuses it with its own message."""
+    _check_model_graph(g)
+    terms = terminal_vertices(g, spec)
+    counts = dict.fromkeys(g.vertices, 1)  # paths ending at each vertex
+    lengths = dict.fromkeys(g.vertices, 0)  # and their edges, summed
+    for v in topological_order(g):
+        c, length = counts[v], lengths[v]
+        for b in g._out[v]:
+            k = b.cardinality.count
+            counts[b.dst] += k * c
+            lengths[b.dst] += k * (length + c)
+    if (sum(counts[t] for t in terms) <= BASIS_SIZE_BOUND
+            and sum(lengths[t] for t in terms) > EXPORT_LABEL_BOUND):
+        raise BoundExceededError(
+            f"model export would write more than {EXPORT_LABEL_BOUND} edge "
+            "ids in its path labels")
 
 
 # --- verification ---------------------------------------------------------

@@ -58,6 +58,7 @@ from .bratteli import (
 from .citations import citation_text
 from .ck_matrix import (
     RelativeSpec,
+    admit_export,
     algebra_dimension,
     block_decomposition,
     build_ck_family,
@@ -452,6 +453,8 @@ def _parse_relative(text: str, g: Graph) -> RelativeSpec:
 def _cmd_ck(g: Graph, label: str, relative: str, export_path: str | None) -> Report:
     r = Report("ck", label)
     spec = _parse_relative(relative, g)
+    if export_path:
+        admit_export(g, spec)
     rep = build_ck_family(g, spec)
     imposed = _fmt_set(spec.imposed)
     r.say(f"relative spec: summation identity imposed at {imposed}")

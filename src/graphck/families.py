@@ -35,19 +35,21 @@ def _rung_delta(vertex: str, parallel: int):
     <vertex>_k and, for k >= 2, ``parallel`` rung edges into it from
     <vertex>_{k-1}, named e_{k-1}, f_{k-1}, ..."""
 
+    letters = _RUNG_LETTERS[:parallel]
+
     def delta(k: int) -> tuple[list[str], list[EdgeBundle]]:
         if k < 2:
             return [f"{vertex}_{k}"] if k else [], []
         src, dst = f"{vertex}_{k - 1}", f"{vertex}_{k}"
-        return [dst], [EdgeBundle(f"{_RUNG_LETTERS[j]}_{k - 1}", src, dst)
-                       for j in range(parallel)]
+        return [dst], [EdgeBundle(f"{c}_{k - 1}", src, dst) for c in letters]
 
     return delta
 
 
-def _rung_size(parallel: int):
-    """``delta_size`` of ``_rung_delta(vertex, parallel)``."""
-    return lambda k: 1 + parallel if k >= 2 else k
+def _spine_size(rung: int):
+    """``stage_size`` of a family whose delta 1 is one vertex and each later
+    delta ``rung`` vertices and bundles: stage 0 is empty."""
+    return lambda n: 1 + (n - 1) * rung if n else 0
 
 
 def ladder_family(parallel: int) -> StagedGraph:
@@ -61,7 +63,7 @@ def ladder_family(parallel: int) -> StagedGraph:
                              spine=lambda i: f"w_{i}",
                              acyclic_stages=True)
     return StagedGraph(f"ladder{parallel}", _rung_delta("w", parallel),
-                       _rung_size(parallel), profile, chain_kind="corner")
+                       _spine_size(1 + parallel), profile, chain_kind="corner")
 
 
 def ray_family() -> StagedGraph:
@@ -70,7 +72,7 @@ def ray_family() -> StagedGraph:
                              spine=lambda i: f"v_{i}",
                              spine_exclusive=True,
                              acyclic_stages=True)
-    return StagedGraph("ray", _rung_delta("v", 1), _rung_size(1), profile,
+    return StagedGraph("ray", _rung_delta("v", 1), _spine_size(2), profile,
                        chain_kind="tail")
 
 
@@ -94,15 +96,12 @@ def forbidden_ladder_family(len_a: int = 1, len_b: int = 2) -> StagedGraph:
                         for j in range(length)]
         return vertices, bundles
 
-    def delta_size(k: int) -> int:
-        # v_k, then len - 1 intermediate vertices and len edges per path
-        return 2 * (len_a + len_b) - 1 if k >= 2 else k
-
     # the spine is only edge-joined when one of the two rung paths is direct
     spine = (lambda i: f"v_{i}") if min(len_a, len_b) == 1 else None
     profile = UniformProfile(min_out_degree=1, spine=spine, acyclic_stages=True)
-    return StagedGraph(f"forbidden_ladder_{len_a}_{len_b}", delta, delta_size,
-                       profile)
+    # each rung: v_k, then len - 1 intermediate vertices and len edges per path
+    return StagedGraph(f"forbidden_ladder_{len_a}_{len_b}", delta,
+                       _spine_size(2 * (len_a + len_b) - 1), profile)
 
 
 def rose_family(loops: int) -> StagedGraph:

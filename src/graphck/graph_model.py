@@ -623,13 +623,16 @@ def cofinal(g: Graph) -> CofinalityResult:
 # stage a request reads
 STAGE_WORK_BOUND = 1 << 18
 
+_INF = float("inf")  # the degree an infinite bundle adds
+
 
 @dataclass(frozen=True)
 class UniformProfile:
     """Certificate a staged family attaches to its stages.
 
     Claims are about every stage.  Each is checked once, on the delta that
-    could break it, and a failure is a generator bug.
+    could break it, against running per-vertex out-degrees and the spine
+    tip, and a failure is a generator bug.
 
     * ``min_out_degree``: every vertex already present in the previous
       stage emits at least this many edges (so in the limit every vertex
@@ -641,8 +644,10 @@ class UniformProfile:
       edge, the one to the next spine vertex.
     * ``acyclic_stages``: every stage is acyclic.  Checked on each stage
       built: a cycle persists, so that certifies every stage below it.  A
-      chain builds no stage it reads off a plain delta (see ``Step``): that
-      stage is acyclic whenever the one before it is.
+      stage whose every bundle runs forward in its vertex listing is
+      acyclic by construction and is built with that listing as its
+      topological order, so the check runs no search; a chain builds no
+      stage it reads off a plain delta (see ``Step``).
     """
 
     min_out_degree: int | None = None
@@ -658,7 +663,8 @@ class Step(NamedTuple):
     is finite, starts at a known vertex and lands on a vertex new in the
     delta, and the delta's own subgraph is acyclic.  Then no path ending at
     an older vertex changes, and stage n is valid and acyclic whenever
-    stage n-1 is.
+    stage n-1 is.  Whether a delta is plain, and its bundles' order, are
+    worked out when its step is read.
     """
 
     vertices: list[str]  # the delta's vertices
@@ -673,46 +679,56 @@ class StagedGraph:
     """A monotone family of finite stages standing in for an infinite graph.
 
     ``delta(k)`` gives the vertices and bundles stage k adds to stage k-1,
-    so inclusion holds by construction, and ``delta_size(k)`` how many
-    there are, so a request is admitted before any delta is made.  Deltas
-    are appended, and checked against the profile, as stages are asked
-    for.  ``stage(n)`` builds one graph from their prefixes, which
-    validates them, and keeps the last one built; ``step(n)`` reads a delta
+    so inclusion holds by construction, and ``stage_size(n)`` how many
+    vertices and bundles stage n holds, so a request is admitted in one
+    call before any delta is made; a delta's size is the difference of two
+    stage sizes.  Deltas are appended, and checked against the profile on
+    running counters, as stages are asked for.  ``stage(n)`` builds one
+    graph from their prefixes, which validates them, and keeps the last one
+    built; when every bundle so far runs forward in the vertex listing (as
+    in the ladders and the ray), the graph carries that listing as its
+    topological order and no search runs on it.  ``step(n)`` reads a delta
     without building anything.  A constant family (``fixed``) is one graph
     at every stage.
     """
 
     def __init__(self, name: str, delta: Callable[[int], tuple],
-                 delta_size: Callable[[int], int],
+                 stage_size: Callable[[int], int],
                  profile: UniformProfile | None = None, *,
                  chain_kind: str | None = None):
         self.name = name
         self.delta = delta
-        self.delta_size = delta_size
+        self.stage_size = stage_size
         self.profile = profile or UniformProfile()
         self.constant = False
         self.chain_kind = chain_kind  # "corner" | "tail" | None
         self._vertices: list[str] = []
         self._bundles: list[EdgeBundle] = []
-        # stage k's vertex, bundle and spine prefix lengths, then its Step's
-        # sink count, sink and bundles
+        # stage k's vertex, bundle and spine prefix lengths, its sink count
+        # and its sink
         self._ends: list[tuple] = []
-        self._sizes = [0]  # _sizes[k + 1]: vertices plus bundles of stage k
-        self._out: dict[str, list[EdgeBundle]] = {}  # each vertex's bundles so far
-        self._ids: set[str] = set()  # bundle ids so far
+        # edges out of each vertex so far; inf once it emits an infinite
+        # bundle
+        self._degree: dict[str, int | float] = {}
+        self._first: dict[str, int] = {}  # each vertex's first place in the listing
+        self._ids: dict[str, int] = {}  # each bundle id's first place
         self._sinks: set[str] = set()
         self._spine: list[str] = []
-        self._settled: set[str] = set()  # spine vertices with a successor
+        self._on_spine: set[str] = set()  # the spine, as a set
+        # deltas, from delta 0 on, whose bundles all run forward in the
+        # vertex listing: every stage among them lists its vertices in a
+        # topological order
+        self._forward = 0
+        self._missing: str | None = None  # the first spine name not yet present
         self._built = 0  # vertices plus bundles over every graph built
         self._last: tuple[int, Graph] | None = None
 
     @staticmethod
     def fixed(name: str, g: Graph) -> "StagedGraph":
         """The constant family whose every stage is ``g``."""
+        size = len(g.vertices) + len(g.bundles)
         sg = StagedGraph(name, lambda k: (g.vertices, g.bundles) if k == 0
-                         else ((), ()),
-                         lambda k: len(g.vertices) + len(g.bundles) if k == 0
-                         else 0)
+                         else ((), ()), lambda n: size)
         sg.constant, sg._last = True, (0, g)
         return sg
 
@@ -725,7 +741,12 @@ class StagedGraph:
         nv, nb = self._ends[n][:2]
         g = Graph(self.vertices(n), self._bundles[:nb])
         self._built += nv + nb
-        if self.profile.acyclic_stages and has_cycle(g):
+        if n < self._forward:
+            # its listing is a topological order, so Tarjan's components
+            # would be its vertices, each after everything it reaches
+            g._components = tuple((v,) for v in reversed(g.vertices))
+            g._cyclic = False
+        elif self.profile.acyclic_stages and has_cycle(g):
             raise StageError(f"{self.name}: stage {n} is cyclic "
                              "but the profile claims acyclic stages")
         self._last = (n, g)
@@ -734,16 +755,11 @@ class StagedGraph:
     def admit(self, n: int) -> None:
         """Refuse, before any delta is made, a request that would take this
         family past ``STAGE_WORK_BOUND`` vertices and bundles: every graph
-        built so far plus stage n.  Stage sizes are summed from
-        ``delta_size`` only until they pass the bound."""
+        built so far plus stage n."""
         if n < 0:
             raise StageError("stage index must be >= 0")
-        if self.constant:
-            return
-        sizes, room = self._sizes, STAGE_WORK_BOUND - self._built
-        while len(sizes) <= n + 1 and sizes[-1] <= room:
-            sizes.append(sizes[-1] + self.delta_size(len(sizes) - 1))
-        if sizes[min(n + 1, len(sizes) - 1)] > room:
+        if not self.constant and (
+                self.stage_size(n) > STAGE_WORK_BOUND - self._built):
             raise BoundExceededError(
                 f"{self.name}: stage graphs would hold more than "
                 f"{STAGE_WORK_BOUND} vertices and bundles")
@@ -766,98 +782,120 @@ class StagedGraph:
         return self._vertices[:self._ends[n][0]]
 
     def step(self, n: int) -> Step:
-        """Stage n's delta as a chain reads it; stage n must be grown."""
+        """Stage n's delta as a chain reads it; stage n must be grown.
+        Whether the delta is plain, and its bundles' order, are worked out
+        here, so only a chain pays for them."""
         start = self._ends[n - 1][0] if n else 0
-        nv, _, _, sinks, sink, bundles = self._ends[n]
-        return Step(self._vertices[start:nv], bundles, sinks, sink)
+        nv, _, _, sinks, sink = self._ends[n]
+        return Step(self._vertices[start:nv], self._plain_order(n), sinks, sink)
 
     def _append(self, k: int) -> None:
         """Append stage k's delta, checking each claim it could break.  The
-        checks read the delta beside the state and run before any of it
-        changes, so a refused delta leaves the family as it was."""
-        prof, out, spine = self.profile, self._out, self._spine
+        checks read the delta's own degree counts beside the running ones
+        and run before any state changes, so a refused delta leaves the
+        family as it was."""
+        prof, degree, spine, first = (self.profile, self._degree, self._spine,
+                                      self._first)
         vertices, bundles = self.delta(k)
-        if (size := len(vertices) + len(bundles)) != self.delta_size(k):
+        old_v, old_b = self._vertices, self._bundles
+        size = len(vertices) + len(bundles)
+        if size != (want := self.stage_size(k) - len(old_v) - len(old_b)):
             raise StageError(f"{self.name}: delta {k} holds {size} vertices "
-                             f"and bundles, not the {self.delta_size(k)} "
-                             "its size function gives")
-        order = self._plain_order(vertices, bundles)
-        fresh = self._vertices[self._ends[k - 2][0] if k > 1 else 0:]  # stage k-1's
-        added: dict[str, list[EdgeBundle]] = {v: [] for v in vertices}
+                             f"and bundles, not the {want} its size "
+                             "function gives")
+        added: dict[str, int | float] = {}  # edges the delta adds per source
         for b in bundles:
-            added.setdefault(b.src, []).append(b)
-
-        def outs(v: str) -> list[EdgeBundle]:  # v's bundles once appended
-            return out.get(v, []) + added.get(v, [])
-        for v in fresh if prof.min_out_degree is not None else ():
-            d = sum(b.cardinality.count for b in outs(v))
-            if d < prof.min_out_degree and all(b.cardinality.is_finite for b in outs(v)):
-                raise StageError(f"{self.name}: vertex {v!r} settled with out-degree "
-                                 f"{d} < {prof.min_out_degree} at stage {k}")
-        # the profile's spine names in order, up to the first one missing
+            added[b.src] = added.get(b.src, 0) + (b.cardinality.count or _INF)
+        if (least := prof.min_out_degree) is not None and k:
+            # stage k-1's vertices settle now
+            for v in old_v[self._ends[k - 2][0] if k > 1 else 0:]:
+                if (d := degree.get(v, 0) + added.get(v, 0)) < least:
+                    raise StageError(f"{self.name}: vertex {v!r} settled with "
+                                     f"out-degree {d} < {least} at stage {k}")
         grown: list[str] = []  # the spine vertices the delta adds
-        while prof.spine is not None and (
-                (w := prof.spine(len(spine) + len(grown) + 1)) in out or w in added):
-            if spine or grown:
-                last = (grown or spine)[-1]
-                if not any(b.dst == w for b in outs(last)):
-                    raise StageError(f"{self.name}: spine vertices {last!r}->"
-                                     f"{w!r} not joined at stage {k}")
-            grown.append(w)
-        settled = (spine[-1:] + grown)[:-1]  # those the delta gives a successor
-        if prof.spine is not None and k > 0 and not (spine or grown):
-            raise StageError(f"{self.name}: stage {k} has no spine vertex")
-        # a settled spine vertex is the source of a bundle in the delta that
-        # settles it (its successor is new) and of any it emits later
-        for b in bundles if prof.spine_exclusive else ():
-            bs = outs(b.src)
-            if (b.src in self._settled or b.src in settled) and (
-                    len(bs) != 1 or bs[0].cardinality.count != 1):
-                raise StageError(f"{self.name}: spine vertex {b.src!r} "
-                                 f"is not exclusive at stage {k}")
-        for v, bs in added.items():
-            out.setdefault(v, []).extend(bs)
-        spine += grown
-        self._settled.update(settled)
-        self._ids.update(b.id for b in bundles)
-        sinks = self._sinks
+        tip = spine[-1] if spine else None
+        if (name := prof.spine) is not None:
+            # the profile's spine names in order, up to the first one missing
+            w = self._missing or name(len(spine) + 1)
+            while w in vertices or w in first:
+                for b in bundles:  # the delta usually holds the join
+                    if b.dst == w and b.src == tip:
+                        break
+                else:
+                    if tip is not None and not any(
+                            b.dst == w and b.src == tip for b in old_b):
+                        raise StageError(f"{self.name}: spine vertices "
+                                         f"{tip!r}->{w!r} not joined at "
+                                         f"stage {k}")
+                grown.append(tip := w)
+                w = name(len(spine) + len(grown) + 1)
+            if k and tip is None:
+                raise StageError(f"{self.name}: stage {k} has no spine vertex")
+            # a settled spine vertex (one with a successor, so not the tip)
+            # is the source of a bundle in the delta that settles it and of
+            # any it emits later
+            for b in bundles if prof.spine_exclusive else ():
+                if (b.src in self._on_spine or b.src in grown) and (
+                        b.src != tip and degree.get(b.src, 0) + added[b.src] != 1):
+                    raise StageError(f"{self.name}: spine vertex {b.src!r} "
+                                     f"is not exclusive at stage {k}")
+            self._missing = w
+            self._on_spine.update(grown)
+            spine += grown
+        ids, sinks = self._ids, self._sinks
+        for i, v in enumerate(vertices, len(old_v)):
+            first.setdefault(v, i)
+        for v, d in added.items():
+            degree[v] = degree.get(v, 0) + d
         sinks.update(vertices)
-        sinks.difference_update(b.src for b in bundles)
-        self._vertices += vertices
-        self._bundles += bundles
-        self._ends.append((len(self._vertices), len(self._bundles), len(spine),
-                           len(sinks), next(iter(sinks)) if len(sinks) == 1
-                           else None, order))
-
-    def _plain_order(self, vertices: Sequence[str],
-                     bundles: Sequence[EdgeBundle]) -> tuple[EdgeBundle, ...] | None:
-        """A plain delta's bundles, each after every bundle into its source
-        (bundles from older vertices first, then Kahn's order over the
-        delta's own subgraph); None when the delta is not plain.  Read
-        before the delta is appended."""
-        known, ids = self._out, self._ids
-        waiting = dict.fromkeys(vertices, 0)  # unplaced in-delta bundles into each
-        if len(waiting) < len(vertices) or not known.keys().isdisjoint(waiting):
-            return None
-        order: list[EdgeBundle] = []
-        inner: dict[str, list[EdgeBundle]] = {}
-        own: set[str] = set()  # the delta's bundle ids
-        for b in bundles:
-            if (b.dst not in waiting or b.id in ids or b.id in own
-                    or not b.cardinality.is_finite
-                    or b.src not in waiting and b.src not in known):
-                return None
-            own.add(b.id)
-            if b.src in waiting:
-                waiting[b.dst] += 1
-                inner.setdefault(b.src, []).append(b)
+        for j, b in enumerate(bundles, len(old_b)):
+            ids.setdefault(b.id, j)
+            sinks.discard(b.src)
+        if self._forward == k:
+            for b in bundles:
+                if first.get(b.src, _INF) >= first.get(b.dst, -1):
+                    break
             else:
-                order.append(b)
-        ready = [v for v in vertices if not waiting[v]]
+                self._forward += 1
+        old_v += vertices
+        old_b += bundles
+        self._ends.append((len(old_v), len(old_b), len(spine), len(sinks),
+                           next(iter(sinks)) if len(sinks) == 1 else None))
+
+    def _plain_order(self, n: int) -> tuple[EdgeBundle, ...] | None:
+        """Delta n's bundles, each after every bundle into its source
+        (bundles from older vertices first, then Kahn's order over the
+        delta's own subgraph); None when the delta is not plain.  Read off
+        the first place of each vertex and bundle id: delta n's own items
+        are first listed inside its range."""
+        v0, b0 = self._ends[n - 1][:2] if n else (0, 0)
+        v1, b1 = self._ends[n][:2]
+        first, ids, listed = self._first, self._ids, self._vertices
+        for i in range(v0, v1):
+            if first[listed[i]] != i:  # listed before
+                return None
+        bundles = self._bundles[b0:b1]
+        inner = []  # the bundles between the delta's own vertices
+        for j, b in enumerate(bundles, b0):
+            if (ids[b.id] != j or not v0 <= first.get(b.dst, -1) < v1
+                    or (at := first.get(b.src, v1)) >= v1
+                    or not b.cardinality.is_finite):
+                return None
+            if at >= v0:
+                inner.append(b)
+        if not inner:
+            return tuple(bundles)
+        waiting = dict.fromkeys(listed[v0:v1], 0)  # unplaced inner bundles into each
+        out: dict[str, list[EdgeBundle]] = {}
+        for b in inner:
+            waiting[b.dst] += 1
+            out.setdefault(b.src, []).append(b)
+        order = [b for b in bundles if first[b.src] < v0]
+        ready = [v for v, w in waiting.items() if not w]
         for v in ready:  # grows as bundles are placed
-            for b in inner.get(v, ()):
+            for b in out.get(v, ()):
                 order.append(b)
                 waiting[b.dst] -= 1
                 if not waiting[b.dst]:
                     ready.append(b.dst)
-        return tuple(order) if len(ready) == len(vertices) else None
+        return tuple(order) if len(ready) == len(waiting) else None

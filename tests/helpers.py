@@ -35,6 +35,7 @@ from graphck import (
     finite,
     hereditary_closure,
     is_hereditary,
+    ray_family,
     reachable_set,
     regular_vertices,
     sinks,
@@ -95,8 +96,91 @@ def line_delta(k: int):
 
 
 def size_of(delta):
-    """The ``delta_size`` of a test family: it makes the delta and counts."""
-    return lambda k: sum(map(len, delta(k)))
+    """The ``stage_size`` of a test family: it makes the deltas and counts."""
+    return lambda n: sum(len(vs) + len(bs) for vs, bs in map(delta, range(n + 1)))
+
+
+def eager_plain_orders(delta, depth: int) -> list[tuple[EdgeBundle, ...] | None]:
+    """``Step.bundles`` of deltas 0..depth, the way they were once worked
+    out as each delta was appended: read against the vertices, bundle
+    sources and bundle ids of the deltas before, bundles from older
+    vertices first, then Kahn's order over the delta's own subgraph; None
+    when the delta is not plain."""
+    known: set[str] = set()  # vertices and bundle sources so far
+    ids: set[str] = set()
+    orders = []
+    for k in range(depth + 1):
+        vertices, bundles = delta(k)
+        orders.append(_eager_plain_order(known, ids, vertices, bundles))
+        known.update(vertices)
+        known.update(b.src for b in bundles)
+        ids.update(b.id for b in bundles)
+    return orders
+
+
+def _eager_plain_order(known, ids, vertices, bundles):
+    waiting = dict.fromkeys(vertices, 0)  # unplaced in-delta bundles into each
+    if len(waiting) < len(vertices) or not known.isdisjoint(waiting):
+        return None
+    order: list[EdgeBundle] = []
+    inner: dict[str, list[EdgeBundle]] = {}
+    own: set[str] = set()  # the delta's bundle ids
+    for b in bundles:
+        if (b.dst not in waiting or b.id in ids or b.id in own
+                or not b.cardinality.is_finite
+                or b.src not in waiting and b.src not in known):
+            return None
+        own.add(b.id)
+        if b.src in waiting:
+            waiting[b.dst] += 1
+            inner.setdefault(b.src, []).append(b)
+        else:
+            order.append(b)
+    ready = [v for v in vertices if not waiting[v]]
+    for v in ready:  # grows as bundles are placed
+        for b in inner.get(v, ()):
+            order.append(b)
+            waiting[b.dst] -= 1
+            if not waiting[b.dst]:
+                ready.append(b.dst)
+    return tuple(order) if len(ready) == len(vertices) else None
+
+
+def ray_plus(extra):
+    """The ray's deltas, with ``extra[k]``'s vertices and bundles added to
+    delta k."""
+    ray = ray_family()
+
+    def delta(k):
+        vs, bs = ray.delta(k)
+        more_vs, more_bs = extra.get(k, ([], []))
+        return vs + more_vs, bs + more_bs
+
+    return delta
+
+
+@st.composite
+def mixed_deltas(draw, max_depth: int = 6):
+    """Deltas 0..depth of a custom family, as a list: each adds up to three
+    fresh vertices and up to four bundles between any vertices so far, so
+    plain deltas mix with bundles landing on older vertices, loops, cycles
+    inside one delta and infinite bundles.  Every stage is a valid graph."""
+    deltas: list[tuple[list[str], list[EdgeBundle]]] = []
+    pool: list[str] = []
+    for k in range(draw(st.integers(1, max_depth)) + 1):
+        new = [f"x{k}_{i}" for i in range(draw(st.integers(0, 3)))]
+        pool += new
+        bundles = []
+        for i in range(draw(st.integers(0, 4)) if pool else 0):
+            # mostly into the new vertices, so most deltas are plain
+            dst = draw(st.sampled_from(new if new and draw(st.booleans())
+                                       else pool))
+            bundles.append(EdgeBundle(
+                f"b{k}_{i}", draw(st.sampled_from(pool)), dst,
+                draw(st.sampled_from([finite(1), finite(1), finite(2),
+                                      ALEPH0]))))
+        deltas.append((new, bundles))
+    return deltas
 
 
 # --- family stages built from scratch --------------------------------------------

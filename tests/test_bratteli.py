@@ -77,7 +77,7 @@ def test_corner_chain_requires_corner_in_every_stage():
 
 def test_corner_chain_needs_spine_or_corner():
     sg = StagedGraph("anon", ladder_family(2).delta,
-                     ladder_family(2).delta_size)
+                     ladder_family(2).stage_size)
     with pytest.raises(ChainError):
         corner_chain(sg, 3)
     chain = corner_chain(sg, 3, corner_vertex="w_1")
@@ -205,24 +205,11 @@ def test_chains_match_the_stagewise_route_in_every_pairing(name):
                 (chain.__name__, depth)
 
 
-def _ray_plus(extra):
-    """The ray's deltas, with ``extra[k]``'s vertices and bundles added to
-    delta k."""
-    ray = ray_family()
-
-    def delta(k):
-        vs, bs = ray.delta(k)
-        more_vs, more_bs = extra.get(k, ([], []))
-        return vs + more_vs, bs + more_bs
-
-    return delta
-
-
 def _custom(name, delta, profile=None):
     return lambda: StagedGraph(name, delta, size_of(delta), profile)
 
 
-_LATE_SOURCE = _custom("ray-plus-source", _ray_plus(
+_LATE_SOURCE = _custom("ray-plus-source", helpers.ray_plus(
     {3: (["u"], [EdgeBundle("f", "u", "v_3")])}))
 
 
@@ -274,7 +261,7 @@ _CUSTOM = [
      ("w_1",), BratteliChain),
     ("finite-2-bundles-tail", _custom("double", _double_rungs), tail_chain, 6,
      (), SpineError),
-    ("bypass", _custom("bypass", _ray_plus(
+    ("bypass", _custom("bypass", helpers.ray_plus(
         {3: ([], [EdgeBundle("x", "v_1", "v_3")])})), corner_chain, 5,
      ("v_1",), ChainError),
     ("two-hop-tail", _custom("two-hop", _two_hop_tail), tail_chain, 4, (),
@@ -283,9 +270,9 @@ _CUSTOM = [
      InfiniteBundleError),
     ("infinite-stage-0-corner", _custom("stray", _stray_base), corner_chain, 4,
      ("v_1",), BratteliChain),
-    ("re-added-vertex", _custom("ray-again", _ray_plus(
+    ("re-added-vertex", _custom("ray-again", helpers.ray_plus(
         {3: (["v_1"], [])})), tail_chain, 4, (), GraphBuildError),
-    ("unknown-source", _custom("ray-ghost", _ray_plus(
+    ("unknown-source", _custom("ray-ghost", helpers.ray_plus(
         {3: ([], [EdgeBundle("x", "ghost", "v_3")])})), tail_chain, 4, (),
      GraphBuildError),
     ("bundles-out-of-order", _custom("backwards", _rungs_backwards),
@@ -306,28 +293,28 @@ _CUSTOM = [
     ("late-extra-source", _LATE_SOURCE, tail_chain, 5, (), BratteliChain),
     ("late-extra-source-corner", _LATE_SOURCE, corner_chain, 5, ("v_1",),
      BratteliChain),
-    ("lands-on-older", _custom("ray-fed-late", _ray_plus(
+    ("lands-on-older", _custom("ray-fed-late", helpers.ray_plus(
         {3: (["u"], [EdgeBundle("f", "u", "v_1")])})), tail_chain, 6, (),
      BratteliChain),
-    ("lands-on-older-corner", _custom("ray-fed-late", _ray_plus(
+    ("lands-on-older-corner", _custom("ray-fed-late", helpers.ray_plus(
         {3: (["u"], [EdgeBundle("f", "u", "v_1")])})), corner_chain, 6,
      ("v_1",), BratteliChain),
-    ("infinite-side-bundle", _custom("ray-infinite", _ray_plus(
+    ("infinite-side-bundle", _custom("ray-infinite", helpers.ray_plus(
         {2: (["s"], [EdgeBundle("s", "s", "v_2", ALEPH0)])})), tail_chain, 4,
      (), InfiniteBundleError),
-    ("infinite-side-bundle-corner", _custom("ray-infinite", _ray_plus(
+    ("infinite-side-bundle-corner", _custom("ray-infinite", helpers.ray_plus(
         {2: (["s"], [EdgeBundle("s", "s", "v_2", ALEPH0)])})), corner_chain, 4,
      ("v_1",), BratteliChain),
-    ("cyclic-delta", _custom("ray-looped", _ray_plus(
+    ("cyclic-delta", _custom("ray-looped", helpers.ray_plus(
         {2: (["c"], [EdgeBundle("l", "c", "c")])})), tail_chain, 4, (),
      CyclicGraphError),
-    ("cyclic-delta-claimed", _custom("ray-looped", _ray_plus(
+    ("cyclic-delta-claimed", _custom("ray-looped", helpers.ray_plus(
         {2: (["c"], [EdgeBundle("l", "c", "c")])}), ray_family().profile),
      tail_chain, 4, (), StageError),
-    ("dangling-bundle", _custom("ray-dangling", _ray_plus(
+    ("dangling-bundle", _custom("ray-dangling", helpers.ray_plus(
         {3: ([], [EdgeBundle("x", "v_3", "nowhere")])})), tail_chain, 4, (),
      GraphBuildError),
-    ("re-added-bundle-id", _custom("ray-twice", _ray_plus(
+    ("re-added-bundle-id", _custom("ray-twice", helpers.ray_plus(
         {3: (["y"], [EdgeBundle("e_1", "v_3", "y")])})), corner_chain, 4,
      ("v_1",), GraphBuildError),
 ]
@@ -348,7 +335,7 @@ def test_custom_families_match_the_stagewise_route(make, chain, depth, corner,
 def test_a_delta_landing_on_an_older_vertex_builds_only_its_stage(monkeypatch):
     # u -> v_1 arrives in delta 3: paths ending at v_1 and past it change, so
     # stage 3 is built and counted afresh; the stages around it are read
-    make = _custom("ray-fed-late", _ray_plus(
+    make = _custom("ray-fed-late", helpers.ray_plus(
         {3: (["u"], [EdgeBundle("f", "u", "v_1")])}))
     want = helpers.stagewise_tail_chain(make(), 6)
     built = _count_graphs(monkeypatch)

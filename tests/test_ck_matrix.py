@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphck import (
     ALEPH0,
+    BoundExceededError,
     CyclicGraphError,
     EdgeBundle,
     Graph,
@@ -352,6 +353,27 @@ def test_corner_unknown_vertex():
 
 
 # --- export ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    g1, diamond, lambda: ladder_family(2).stage(5),
+    lambda: forbidden_ladder_family(2, 3).stage(4),
+    lambda: Graph(["a", "b", "c", "d"],
+                  [EdgeBundle("x", "a", "b", finite(3)), EdgeBundle("y", "b", "c"),
+                   EdgeBundle("z", "a", "c"), EdgeBundle("t", "c", "d", finite(2))]),
+], ids=["g1", "diamond", "ladder2", "forbidden_ladder_2_3", "multi"])
+@pytest.mark.parametrize("relative", ["all", "none"])
+def test_export_admission_counts_every_label_edge(monkeypatch, make, relative):
+    # the path-length DP must give exactly the edge ids the labels hold
+    g = make()
+    spec = (RelativeSpec.full(g) if relative == "all"
+            else RelativeSpec.toeplitz())
+    total = sum(len(p.edges) for p in build_ck_family(g, spec).basis)
+    monkeypatch.setattr(ck_matrix, "EXPORT_LABEL_BOUND", total)
+    ck_matrix.admit_export(g, spec)
+    monkeypatch.setattr(ck_matrix, "EXPORT_LABEL_BOUND", total - 1)
+    with pytest.raises(BoundExceededError, match="model export would write"):
+        ck_matrix.admit_export(g, spec)
 
 
 def test_export_model_shape():

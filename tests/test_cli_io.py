@@ -31,6 +31,7 @@ from graphck import (
 from graphck import cli_io, ideal_lattice
 from graphck.cli_io import ClaimLine
 from graphck.citations import known_tags
+from graphck.ck_matrix import EXPORT_LABEL_BOUND
 from graphck.classifier import LADDER_WORK_BOUND
 from graphck.graph_model import STAGE_WORK_BOUND
 from graphck.ideal_lattice import BASIS_SIZE_BOUND
@@ -829,6 +830,41 @@ def test_long_line_models_are_certified_in_linear_space(tmp_path):
         run = _run_capped([*argv, "--graph", str(doc), "--json"])
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout)["dimension"] == dimension
+
+
+def test_model_export_past_the_label_bound_is_refused_before_it_is_built(
+        tmp_path):
+    # the 245,350 basis positions fit BASIS_SIZE_BOUND, but their labels
+    # hold 699 * 700 * 701 / 6 = 57,166,050 edge ids: written out, they do
+    # not fit in the 1 GiB the process is given
+    out = tmp_path / "f.json"
+    run = _run_capped(["ck", "--family", "ray", "--depth", "700", "--relative",
+                       "none", "--export", str(out)])
+    assert run.returncode in (0, 3), run.stderr
+    assert "Traceback" not in run.stderr + run.stdout
+    assert (run.returncode, run.stderr) == (
+        3, f"error: model export would write more than {EXPORT_LABEL_BOUND} "
+           "edge ids in its path labels\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bratteli", "--family", "ladder3", "--depth", "100000"],
+    ["classify", "--family", "ray", "--depth", "1000000000000"],
+], ids=["bratteli", "classify"])
+def test_deep_family_refusals_read_one_stage_size(argv):
+    # admission reads the family's closed-form stage size, so a refusal
+    # costs the same at any depth
+    name = argv[2]
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        code, text = run_command(argv)
+        seconds.append(time.perf_counter() - t0)
+        assert (code, text) == (3, f"error: {name}: stage graphs would hold "
+                                   f"more than {STAGE_WORK_BOUND} vertices "
+                                   "and bundles")
+    assert min(seconds) < 0.005
 
 
 @pytest.mark.parametrize("argv, code, bound", [

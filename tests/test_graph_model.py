@@ -527,14 +527,99 @@ def test_staged_families_match_the_from_scratch_builders(name):
 
 @pytest.mark.parametrize("name", sorted(helpers.STAGE_ORACLES))
 def test_delta_size_counts_the_delta(name):
+    # a delta's size is the difference of two closed-form stage sizes
     sg = builtin_family(name)
-    for k in range(31):
-        vertices, bundles = sg.delta(k)
-        assert sg.delta_size(k) == len(vertices) + len(bundles), (name, k)
+    total = 0
+    for n in range(61):
+        vertices, bundles = sg.delta(n)
+        total += len(vertices) + len(bundles)
+        assert sg.stage_size(n) == total, (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(helpers.STAGE_ORACLES))
+def test_steps_match_the_eager_plain_order(name):
+    # the plain orders are worked out when a step is read; appending each
+    # delta used to work them out at once
+    sg = builtin_family(name)
+    sg.grow(60)
+    want = helpers.eager_plain_orders(sg.delta, 60)
+    assert None not in want
+    assert [sg.step(n).bundles for n in range(61)] == want
+
+
+@pytest.mark.parametrize("extra", [
+    (["v_1"], []),                                            # re-added vertex
+    (["u", "u"], []),                                         # repeated vertex
+    ([], [EdgeBundle("x", "v_3", "v_1")]),                    # lands on v_1
+    ([], [EdgeBundle("x", "v_2", "v_3", ALEPH0)]),
+    (["u"], [EdgeBundle("x", "u", "v_3"), EdgeBundle("y", "v_3", "u")]),
+    ([], [EdgeBundle("x", "v_3", "v_3")]),                    # loop
+    ([], [EdgeBundle("e_1", "v_2", "v_3")]),                  # re-used id
+    (["u"], [EdgeBundle("x", "v_2", "u"), EdgeBundle("x", "v_2", "v_3")]),
+    ([], [EdgeBundle("x", "ghost", "v_3")]),                  # unknown source
+], ids=["re-added", "repeated-vertex", "older-range", "infinite", "cycle",
+        "loop", "re-used-id", "repeated-id", "unknown-source"])
+def test_tampered_deltas_are_not_plain(extra):
+    # the ray with extra vertices and bundles in delta 3
+    delta = helpers.ray_plus({3: extra})
+    sg = StagedGraph("tampered", delta, size_of(delta))
+    sg.grow(6)
+    want = helpers.eager_plain_orders(delta, 6)
+    assert want[3] is None
+    assert [sg.step(n).bundles for n in range(7)] == want
+
+
+def _assert_stage_like_fresh(g):
+    """``g``'s cached acyclicity, order and components agree with a fresh
+    graph on the same vertices and bundles."""
+    fresh = Graph(g.vertices, g.bundles)
+    assert has_cycle(g) == has_cycle(fresh)
+    comps = strongly_connected_components(g)
+    assert sorted(map(sorted, comps)) == sorted(
+        map(sorted, strongly_connected_components(fresh)))
+    where = {v: i for i, c in enumerate(comps) for v in c}
+    # each component after every component it reaches
+    assert all(where[b.src] >= where[b.dst] for b in g.bundles)
+    if not has_cycle(fresh):
+        order = topological_order(g)
+        assert sorted(order) == sorted(g.vertices)
+        place = {v: i for i, v in enumerate(order)}
+        assert all(place[b.src] < place[b.dst] for b in g.bundles)
+
+
+@pytest.mark.parametrize("name", sorted(helpers.STAGE_ORACLES))
+def test_built_stages_agree_with_a_fresh_graph(name, monkeypatch):
+    # the ladders and the ray list every rung's range after its source, so
+    # their stages carry that listing as their order and run no search; a
+    # forbidden ladder lists v_k before the rung path's middle vertices
+    searched = []
+    tarjan = graph_model.strongly_connected_components
+    monkeypatch.setattr(graph_model, "strongly_connected_components",
+                        lambda g: searched.append(g) or tarjan(g))
+    sg = builtin_family(name)
+    for n in range(61):
+        searched.clear()
+        g = sg.stage(n)
+        assert bool(searched) == (n >= 2 and name.startswith("forbidden")), n
+        _assert_stage_like_fresh(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.mixed_deltas())
+def test_mixed_stages_agree_with_a_fresh_graph(deltas):
+    def delta(k):
+        return deltas[k]
+
+    sg = StagedGraph("mixed", delta, size_of(delta))
+    want = helpers.eager_plain_orders(delta, len(deltas) - 1)
+    for n in range(len(deltas)):
+        g = sg.stage(n)
+        assert sg.step(n).bundles == want[n]
+        _assert_stage_like_fresh(g)
 
 
 def test_delta_that_disagrees_with_its_size_is_refused():
-    sg = StagedGraph("miscounted", line_delta, lambda k: 1)
+    sg = StagedGraph("miscounted", line_delta, lambda n: n + 1)  # 1 a delta
     sg.stage(0)
     with pytest.raises(StageError, match="miscounted: delta 1 holds 2 vertices "
                                          "and bundles, not the 1 its size "
@@ -671,15 +756,15 @@ def test_stage_work_is_admitted_before_building(monkeypatch):
     sg.stage(7)  # 7 vertices and 12 bundles
     with pytest.raises(BoundExceededError, match=message):
         sg.stage(2)  # 2 vertices and 2 bundles over the 19 already built
-    # a refusal makes no delta, and sizes deltas only until they pass 20
+    # a refusal makes no delta, and reads the one stage size it asks for
     made, sized, ladder = [], [], ladder_family(2)
     sg = StagedGraph("ladder2", lambda k: made.append(k) or ladder.delta(k),
-                     lambda k: sized.append(k) or ladder.delta_size(k))
+                     lambda n: sized.append(n) or ladder.stage_size(n))
     with pytest.raises(BoundExceededError, match=message):
         sg.stage(10 ** 9)
     with pytest.raises(BoundExceededError, match=message):
         sg.admit(8)  # 8 vertices and 14 bundles
-    assert (made, sized) == ([], list(range(9)))
+    assert (made, sized) == ([], [10 ** 9, 8])
     sg.admit(7)  # 7 vertices and 12 bundles fit
     assert StagedGraph.fixed("rose", rose(2)).stage(10 ** 9) == rose(2)
 

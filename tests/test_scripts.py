@@ -1,5 +1,6 @@
 # The example scripts run end to end against the package's public API.
 
+import json
 import os
 import runpy
 import subprocess
@@ -53,3 +54,20 @@ def test_ladder_chain_script_builds_one_model_per_check(monkeypatch, capsys):
     assert out.count("embedding: ok") == 3  # depths 3, 4 and 5
     # one bigger stage per check, then stage 5 once more for its corner
     assert len(built) == 4
+
+
+def test_bench_snapshot_writes_its_keys(tmp_path):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_snapshot.py"), "--tag",
+         "smoke", "--seeds", "1", "--seconds", "0.2", "--workloads", "models",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    snap = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert {"tag", "command", "run_command", "seeds", "seconds", "git_head",
+            "nproc", "platform", "python", "workloads"} <= snap.keys()
+    metrics = snap["workloads"]["models"]["metrics"]
+    assert {"throughput_per_s", "latency_p50_ms", "latency_tail_ms",
+            "peak_rss_mb", "setup_s", "failed_share"} <= metrics.keys()
+    for m in metrics.values():
+        assert {"unit", "median", "iqr", "values"} <= m.keys()
