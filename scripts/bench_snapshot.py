@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Snapshot the benchmark's end-to-end metrics into ``BENCH_<tag>.json``.
 
-For each gated workload of ``BENCHMARK.json`` (or those named by
---workloads) this runs ``perfbench/run.py --workload W --seed s --seconds S``
-as a child process, once per seed 1..N, reads the record each run writes
-to ``perfbench/results/W-seed<s>-trace0.json``, and writes the median and
-interquartile range of every end-to-end metric, plus the failed share,
-together with the command, the machine and the checkout's HEAD.
+For each gated workload of ``BENCHMARK.json`` this runs
+``perfbench/run.py --workload W --seed s --seconds S`` as a child process,
+once per seed 1..N, reads the summary line each run prints last, and writes
+the median and interquartile range of every end-to-end metric, plus the
+failed share, together with the command, the machine and the checkout's
+HEAD.
+
+Each run also writes its own record to ``perfbench/results/``, as
+``run.py`` always does, so a snapshot replaces the records of those seeds
+in this checkout.
 
 Usage:
     python3 scripts/bench_snapshot.py --tag baseline --seeds 5 --seconds 20
-    python3 scripts/bench_snapshot.py --tag quick --seeds 1 --seconds 1 \\
-        --workloads models --out /tmp
+    python3 scripts/bench_snapshot.py --tag quick --seeds 1 --seconds 1 --out /tmp
 
 Compare two snapshots only when they were taken with the same seeds and
 seconds on the same machine.
@@ -55,15 +58,15 @@ def git_head() -> str:
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in a child process; returns the record it wrote."""
+    """One benchmark run in a child process; returns the JSON summary it
+    prints last (``correct``, ``attempted``, ``failed``, ``metrics``)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"error: {' '.join(argv[1:])} exited "
                          f"{done.returncode}:\n{done.stderr}")
-    record = ROOT / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(record.read_text())
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def snapshot(workloads: list[str], seeds: int, seconds: float) -> dict:
@@ -76,7 +79,7 @@ def snapshot(workloads: list[str], seeds: int, seconds: float) -> dict:
             for name, m in r["metrics"].items():
                 values.setdefault(name, []).append(m["value"])
                 units[name] = m["unit"]
-        values["failed_share"] = [r["ops"]["failed_share"] for r in records]
+        values["failed_share"] = [r["failed"] / r["attempted"] for r in records]
         units["failed_share"] = "ratio"
         out[workload] = {
             "metrics": {name: {"unit": units[name],
@@ -84,7 +87,7 @@ def snapshot(workloads: list[str], seeds: int, seconds: float) -> dict:
                                "iqr": quartile_spread(v),
                                "values": v}
                         for name, v in values.items()},
-            "ops_attempted": [r["ops"]["attempted"] for r in records],
+            "ops_attempted": [r["attempted"] for r in records],
         }
     return out
 
@@ -96,16 +99,13 @@ def main(argv: list[str] | None = None) -> int:
                     help="runs per workload, seeds 1..N")
     ap.add_argument("--seconds", type=float, required=True,
                     help="measured seconds per run")
-    ap.add_argument("--workloads",
-                    help="comma-separated workloads (default: BENCHMARK.json's)")
     ap.add_argument("--out", type=Path, default=ROOT,
                     help="directory for the snapshot (default: the repo root)")
     args = ap.parse_args(argv)
     if args.seeds < 1 or args.seconds <= 0:
         ap.error("--seeds and --seconds must be positive")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
     result = {
         "tag": args.tag,
         "command": [Path(sys.executable).name, *sys.argv],

@@ -457,7 +457,11 @@ def has_cycle(g: Graph) -> bool:
 
 
 def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
-    """Iterative Tarjan over bundle adjacency, computed once per graph."""
+    """Iterative Tarjan over bundle adjacency, computed once per graph.
+    Each component comes after every component it reaches.  A staged
+    graph's stage whose listing is a topological order is built with its
+    vertices reversed here instead, which keeps that property but need not
+    be Tarjan's own order."""
     if g._components is not None:
         return g._components
     out, done = g._out, len(g.vertices)
@@ -742,8 +746,10 @@ class StagedGraph:
         g = Graph(self.vertices(n), self._bundles[:nb])
         self._built += nv + nb
         if n < self._forward:
-            # its listing is a topological order, so Tarjan's components
-            # would be its vertices, each after everything it reaches
+            # its listing is a topological order, so the listing reversed
+            # puts each vertex after everything it reaches: a reverse
+            # topological order, which is what has_cycle and
+            # topological_order read (not always Tarjan's own order)
             g._components = tuple((v,) for v in reversed(g.vertices))
             g._cyclic = False
         elif self.profile.acyclic_stages and has_cycle(g):

@@ -3,6 +3,7 @@
 import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -57,17 +58,29 @@ def test_ladder_chain_script_builds_one_model_per_check(monkeypatch, capsys):
 
 
 def test_bench_snapshot_writes_its_keys(tmp_path):
+    # a copy of the tree, so the runs' own records do not replace this
+    # checkout's perfbench/results
+    junk = shutil.ignore_patterns("__pycache__", "results", ".work")
+    for d in ("src", "perfbench", "scripts"):
+        shutil.copytree(ROOT / d, tmp_path / d, ignore=junk)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
     run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_snapshot.py"), "--tag",
-         "smoke", "--seeds", "1", "--seconds", "0.2", "--workloads", "models",
-         "--out", str(tmp_path)],
+        [sys.executable, str(tmp_path / "scripts" / "bench_snapshot.py"),
+         "--tag", "smoke", "--seeds", "1", "--seconds", "0.2",
+         "--out", str(out)],
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    snap = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    snap = json.loads((out / "BENCH_smoke.json").read_text())
     assert {"tag", "command", "run_command", "seeds", "seconds", "git_head",
             "nproc", "platform", "python", "workloads"} <= snap.keys()
-    metrics = snap["workloads"]["models"]["metrics"]
-    assert {"throughput_per_s", "latency_p50_ms", "latency_tail_ms",
-            "peak_rss_mb", "setup_s", "failed_share"} <= metrics.keys()
-    for m in metrics.values():
-        assert {"unit", "median", "iqr", "values"} <= m.keys()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert snap["workloads"].keys() == {w["name"] for w in bench["workloads"]}
+    for w in snap["workloads"].values():
+        assert w["ops_attempted"][0] > 0
+        metrics = w["metrics"]
+        assert {"throughput_per_s", "latency_p50_ms", "latency_tail_ms",
+                "peak_rss_mb", "setup_s", "failed_share"} <= metrics.keys()
+        for m in metrics.values():
+            assert {"unit", "median", "iqr", "values"} <= m.keys()
