@@ -209,7 +209,9 @@ def tail_chain(sg: StagedGraph, depth: int) -> BratteliChain:
                 raise ChainError(
                     f"{sg.name}: tail edge {out.id!r} lands on "
                     f"{out.dst!r}, not the stage-{n} sink {t!r}")
-        counts = _spread(step, counts, 1) if g is None else count_paths_ending(g)
+        # the stage's cached counts are read-only; later deltas extend a copy
+        counts = (_spread(step, counts, 1) if g is None
+                  else dict(count_paths_ending(g)))
         d.append(counts[t])
         prev_sink = t
     return BratteliChain(TAIL, tuple(d), tuple([1] * (len(d) - 1)),

@@ -18,13 +18,14 @@ a faithful copy of the relative algebra whenever every cycle has an exit
 All arithmetic is integer-exact; no float ever decides a dimension, and
 no matrix is ever multiplied.  One relation pass over the maps
 (``MatrixRep.report``), linear in their size, backs ``verify_ck``, the
-gaps and the stage embedding certificate (``bratteli.embed_check``).
-One certificate pass (``MatrixRep.leads``) then checks that every map
-keeps the basis order, that each terminal's least support position (its
-lead) lies outside its out-edges' ranges, and that the paths into the
-terminals number the positions.  Dimensions, corners and blocks read the
-path counts n_t off the graph's path-count DP: no path map is composed
-and no unit S_a S_b* is formed.  ``IntMatrix`` is a view for outside
+gaps and the stage embedding certificate (``bratteli.embed_check``); it
+certifies by counts, and walks the maps one by one only to word a
+failure.  One certificate pass (``MatrixRep.leads``) then checks that
+every map keeps the basis order, that each terminal's least support
+position (its lead) lies outside its out-edges' ranges, and that the
+paths into the terminals number the positions.  Dimensions, corners
+and blocks read the path counts n_t the graph caches: no path map is
+composed and no unit S_a S_b* is formed.  ``IntMatrix`` is a view for outside
 readers; composed path maps, elimination over every path-pair unit, and
 the relations as matrix products are test oracles.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BoundExceededError,
@@ -48,6 +50,7 @@ from .graph_model import (
     count_paths_ending,
     count_paths_from,
     has_cycle,
+    regular_set,
     regular_vertices,
     sinks,
     topological_order,
@@ -76,19 +79,18 @@ class RelativeSpec:
 
     @staticmethod
     def full(g: Graph) -> "RelativeSpec":
-        return RelativeSpec(frozenset(regular_vertices(g)))
+        return RelativeSpec(regular_set(g))
 
     @staticmethod
     def of(vertices) -> "RelativeSpec":
         return RelativeSpec(frozenset(vertices))
 
     def validate(self, g: Graph) -> None:
-        regs = set(regular_vertices(g))
-        stray = sorted(self.imposed - regs)
-        if stray:
+        regs = regular_set(g)
+        if not self.imposed <= regs:
             raise RelativeSpecError(
                 "relative spec must name regular vertices of this graph; "
-                f"rejected: {', '.join(stray)}")
+                f"rejected: {', '.join(sorted(self.imposed - regs))}")
 
 
 def _check_model_graph(g: Graph) -> None:
@@ -102,8 +104,7 @@ def terminal_vertices(g: Graph, spec: RelativeSpec) -> list[str]:
     """Sinks plus regular vertices where the summation identity is NOT
     imposed — the vertices where basis paths are allowed to end."""
     spec.validate(g)
-    terms = set(sinks(g)) | (set(regular_vertices(g)) - spec.imposed)
-    return sorted(terms)
+    return sorted((regular_set(g) - spec.imposed).union(sinks(g)))
 
 
 @dataclass
@@ -124,7 +125,8 @@ class MatrixRep:
     @functools.cached_property
     def covers(self) -> dict[str, tuple[set[int], bool]]:
         """Per vertex, the union of its out-edges' ranges and whether those
-        are pairwise disjoint (their sizes add up to the union's size)."""
+        are pairwise disjoint (their sizes add up to the union's size).
+        Only a gap, a lead off the spec, or a failing relation reads it."""
         g = self.graph
         covered: dict[str, set[int]] = {v: set() for v in g.vertices}
         sizes = dict.fromkeys(g.vertices, 0)
@@ -136,11 +138,7 @@ class MatrixRep:
 
     @functools.cached_property
     def report(self) -> "CkReport":
-        """The relation pass, after each edge's map is found injective."""
-        for e, m in self.edge_maps.items():
-            if len(set(m.values())) != len(m):
-                raise InternalCheckError(
-                    f"generator s_{e} is not a partial permutation")
+        """The relation pass (``_relations``)."""
         return _relations(self)
 
     def checked(self) -> "MatrixRep":
@@ -160,17 +158,21 @@ class MatrixRep:
         outside its out-edges' ranges — a nonzero p_t at a sink, or a
         nonzero gap off the spec — which makes it t's lead; and that the
         paths into the terminals, counted by the path-count DP, number
-        ``dim``."""
+        ``dim``.  Only a map whose columns or rows do not rise as listed
+        (the builder lists both rising) is sorted."""
         g = self.checked().graph
         for e, m in self.edge_maps.items():
-            rows = list(map(m.__getitem__, sorted(m)))
-            if rows != sorted(rows):
-                raise InternalCheckError(
-                    f"generator s_{e} does not keep the basis order")
+            if len(m) > 1 and (list(m) != sorted(m)
+                               or list(m.values()) != sorted(m.values())):
+                rows = list(map(m.__getitem__, sorted(m)))
+                if rows != sorted(rows):
+                    raise InternalCheckError(
+                        f"generator s_{e} does not keep the basis order")
         leads: dict[str, int] = {}
+        regular = regular_set(g)  # the terminals with out-edges: off the spec
         for t in terminal_vertices(g, self.spec):
             lead = min(self.supports[t], default=None)
-            if lead is None or lead in self.covers[t][0]:
+            if lead is None or t in regular and lead in self.covers[t][0]:
                 raise InternalCheckError(
                     f"terminal {t} has no lead position outside its "
                     "out-edges' ranges")
@@ -224,28 +226,30 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
     the positions stand for, so no path is made or compared."""
     _check_model_graph(g)
     terms = terminal_vertices(g, spec)
-    ending = count_paths_ending(g)
-    size = sum(ending[t] for t in terms)
+    size = sum(map(count_paths_ending(g).__getitem__, terms))
     if size > BASIS_SIZE_BOUND:
         raise BoundExceededError(
             f"model basis would hold more than {BASIS_SIZE_BOUND} paths")
-    edges = g.finite_edges()
+    col_to_row: dict[str, dict[int, int]] = {}
     into: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for i, e in enumerate(edges):
-        into[e.dst].append(i)
-    col_to_row: dict[str, dict[int, int]] = {e.id: {} for e in edges}
+    slots = []  # each edge, in id order, as (range, source, map)
+    for i, (e, src, dst) in enumerate(g.finite_edges()):
+        into[dst].append(i)
+        slots.append((dst, src, col_to_row.setdefault(e, {})))
     by_source: dict[str, list[int]] = {v: [] for v in g.vertices}
     dim = len(terms)
     # each source's positions on the last level
     level = {t: [i] for i, t in enumerate(terms)}
     while level:
         grown: dict[str, list[int]] = {}
-        for i in sorted(i for v in level for i in into[v]):
-            e = edges[i]
-            cols = level[e.dst]
+        # the level's in-edges in id order, as one vertex already lists its own
+        for i in (into[next(iter(level))] if len(level) == 1 else
+                  sorted(chain.from_iterable(map(into.__getitem__, level)))):
+            dst, src, m = slots[i]
+            cols = level[dst]
             rows = range(dim, dim + len(cols))
-            col_to_row[e.id].update(zip(cols, rows))
-            grown.setdefault(e.src, []).extend(rows)
+            m.update(zip(cols, rows))
+            grown.setdefault(src, []).extend(rows)
             dim = rows.stop
         for v, rows in level.items():
             by_source[v] += rows
@@ -260,21 +264,18 @@ def build_ck_family(g: Graph, spec: RelativeSpec) -> MatrixRep:
 
 def admit_export(g: Graph, spec: RelativeSpec) -> None:
     """Refuse, before the model is built, an export whose path labels would
-    hold more than ``EXPORT_LABEL_BOUND`` edge ids.  A path-length DP runs
-    beside the path-count one: over a bundle of k edges, the paths into its
+    hold more than ``EXPORT_LABEL_BOUND`` edge ids.  A path-length DP reads
+    the graph's path counts: over a bundle of k edges, the paths into its
     range gain k times the paths into its source, each one edge longer.  A
     basis past ``BASIS_SIZE_BOUND`` is left to ``build_ck_family``, which
     refuses it with its own message."""
     _check_model_graph(g)
     terms = terminal_vertices(g, spec)
-    counts = dict.fromkeys(g.vertices, 1)  # paths ending at each vertex
-    lengths = dict.fromkeys(g.vertices, 0)  # and their edges, summed
+    counts = count_paths_ending(g)
+    lengths = dict.fromkeys(g.vertices, 0)  # the paths' edges, summed
     for v in topological_order(g):
-        c, length = counts[v], lengths[v]
         for b in g._out[v]:
-            k = b.cardinality.count
-            counts[b.dst] += k * c
-            lengths[b.dst] += k * (length + c)
+            lengths[b.dst] += b.cardinality.count * (lengths[v] + counts[v])
     if (sum(counts[t] for t in terms) <= BASIS_SIZE_BOUND
             and sum(lengths[t] for t in terms) > EXPORT_LABEL_BOUND):
         raise BoundExceededError(
@@ -318,39 +319,58 @@ def _meeting_pairs(names: list[str], domains: list, ranges: list
 
 
 def _relations(rep: MatrixRep) -> CkReport:
+    """The relation pass.  Counts certify what holds: the size of the
+    union of every map's rows that each map is injective and the ranges
+    disjoint, and the sizes of the regular vertices' supports that those
+    ranges fill them.  Only a failed check walks the maps one by one, to
+    word its failures in order (a map that is not injective is raised)."""
     g = rep.graph
-    support, edges = rep.supports, g.finite_edges()
+    support, maps, edges = rep.supports, rep.edge_maps, g.finite_edges()
+    ranges = [m.values() for m in maps.values()]
+    rows = sum(map(len, ranges))
+    overlap = rows != len(set().union(*ranges))
+    if overlap:
+        for e, m in maps.items():
+            if len(set(m.values())) != len(m):
+                raise InternalCheckError(
+                    f"generator s_{e} is not a partial permutation")
     failures = []
     ck1_ok = ck2_ok = True
-    for e in edges:
-        m = rep.edge_maps[e.id]
-        if m.keys() != support[e.dst]:
-            ck1_ok = False
-            failures.append(f"ck1 fails at edge {e.id}")
-        if not support[e.src].issuperset(m.values()):
-            ck2_ok = False
-            failures.append(f"ck2 fails at edge {e.id}")
+    if not all([maps[e].keys() == support[d]
+                and support[s].issuperset(maps[e].values())
+                for e, s, d in edges]):
+        for e, s, d in edges:
+            if maps[e].keys() != support[d]:
+                ck1_ok = False
+                failures.append(f"ck1 fails at edge {e}")
+            if not support[s].issuperset(maps[e].values()):
+                ck2_ok = False
+                failures.append(f"ck2 fails at edge {e}")
 
-    # supports are sets and ranges injective (``report`` checks that
-    # first), so each family is pairwise disjoint exactly when its sizes
-    # add up to the size of its union; only a clash is looked for
-    ids = [e.id for e in edges]
-    ranges = [rep.edge_maps[a].values() for a in ids]
+    # supports are sets, so they are pairwise disjoint exactly when their
+    # sizes add up to the size of their union; only a clash is looked for
     supports = [support[v] for v in g.vertices]
     clashes = []
     if sum(map(len, supports)) != len(set().union(*supports)):
         clashes += [f"vertex projections {v}, {w} not orthogonal"
                     for v, w in _meeting_pairs(g.vertices, supports, supports)]
-    if sum(map(len, ranges)) != len(set().union(*ranges)):
+    if overlap:
+        ids = [e.id for e in edges]
+        ranges = [maps[a].values() for a in ids]
         clashes += [f"edge ranges {a}, {b} not orthogonal"
                     for a, b in _meeting_pairs(ids, ranges, ranges)]
     failures += clashes
 
-    ck3: dict[str, bool] = {}
-    for v in regular_vertices(g):
-        covered, disjoint = rep.covers[v]
-        held = disjoint and covered == support[v]
-        ck3[v] = held
+    # ck3 at v: the out-edges' ranges cover p_v disjointly; disjoint ranges
+    # inside their sources' supports fill them all when the sizes agree
+    regular = regular_vertices(g)  # every edge's source, in a model
+    if not overlap and ck2_ok and rows == sum(
+            map(len, map(support.__getitem__, regular))):
+        ck3 = dict.fromkeys(regular, True)
+    else:
+        ck3 = {v: rep.covers[v][1] and rep.covers[v][0] == support[v]
+               for v in regular}
+    for v, held in ck3.items():
         if held != (v in rep.spec.imposed):
             failures.append(
                 f"ck3 at {v}: held={held}, imposed={v in rep.spec.imposed}")
@@ -445,8 +465,7 @@ def block_decomposition(rep: MatrixRep) -> list[Block]:
     certified as for ``algebra_dimension``.  Only defined for the full
     relative spec — excluded regular vertices leave gap summands that mix
     into the blocks, so refuse."""
-    full = frozenset(regular_vertices(rep.graph))
-    if rep.spec.imposed != full:
+    if rep.spec.imposed != regular_set(rep.graph):
         raise RelativeSpecError(
             "block decomposition needs the summation identity at every "
             "regular vertex")

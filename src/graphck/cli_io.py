@@ -235,15 +235,15 @@ def load_graph_file(path: str) -> Graph:
 # --- reports -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ClaimLine:
     """One output line and the tag justifying it."""
 
-    text: str
-    tag: str = "computed"
+    __slots__ = ("text", "tag")
 
-    def __post_init__(self) -> None:
-        citation_text(self.tag)  # unknown tags are bugs; fail loudly
+    def __init__(self, text: str, tag: str = "computed") -> None:
+        citation_text(tag)  # unknown tags are bugs; fail loudly
+        self.text = text
+        self.tag = tag
 
 
 @dataclass
@@ -655,6 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in sub.choices.values():
         cmd.add_argument("--json", action="store_true",
                          help="machine-readable output")
+    p.commands = sub.choices  # each command's own parser, by name
     return p
 
 
@@ -764,10 +765,18 @@ def _dispatch(args) -> tuple[int, list[Report]]:
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Parse and run one command line; return (exit code, output text)."""
-    parser = build_parser()
+    """Parse and run one command line; return (exit code, output text).
+    A line that starts with a command name is parsed by that command's own
+    parser alone, as the top-level parser would hand it on; the top-level
+    parser reads any other line (empty, a leading option, an unknown
+    command) and words its help or its error."""
+    argv, parser = list(argv), build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        if argv and (sub := parser.commands.get(argv[0])):
+            args = sub.parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # --help prints and exits on its own
         code = exc.code
         return (code if isinstance(code, int) else 0), ""
@@ -778,7 +787,7 @@ def run_command(argv) -> tuple[int, str]:
     except _FAILURES as exc:
         code, message = _failure(exc)
         return code, f"error: {message}"
-    if getattr(args, "json", False):
+    if args.json:
         objs = [r.to_obj() for r in reports]
         text = render_json(objs[0] if len(objs) == 1 else objs)
     else:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BoundExceededError,
@@ -94,9 +95,9 @@ class EdgeBundle(NamedTuple):
     cardinality: Cardinality = finite(1)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One concrete edge drawn from a bundle."""
+class Edge(NamedTuple):
+    """One concrete edge drawn from a bundle.  A named tuple, like
+    ``EdgeBundle``: ``finite_edges`` makes one per edge of every model."""
 
     id: str
     src: str
@@ -111,11 +112,13 @@ def representative_edge_id(bundle: EdgeBundle) -> str:
 
 
 class Graph:
-    """Immutable bundle-labelled directed graph with adjacency indexes."""
+    """Immutable bundle-labelled directed graph with adjacency indexes.
+    What is read often (edges, components, vertex classes, path counts)
+    is computed once and cached on it."""
 
     __slots__ = ("vertices", "bundles", "vertex_set", "_by_id", "_out", "_in",
                  "_finite_edges", "_components", "_cyclic", "_kinds",
-                 "_regular")
+                 "_regular", "_ending")
 
     def __init__(self, vertices: Sequence[str], bundles: Sequence[EdgeBundle]):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -141,6 +144,7 @@ class Graph:
         self._cyclic: bool | None = None
         self._kinds: tuple[tuple[str, ...], tuple[str, ...]] | None = None
         self._regular: frozenset[str] | None = None
+        self._ending: Mapping[str, int] | None = None
 
     # --- structural access -------------------------------------------------
 
@@ -165,7 +169,8 @@ class Graph:
         return total
 
     def all_bundles_finite(self) -> bool:
-        return all(b.cardinality.is_finite for b in self.bundles)
+        sk, regular = _sinks_and_regular(self)  # infinite emitters are neither
+        return len(sk) + len(regular) == len(self.vertices)
 
     def finite_edges(self) -> tuple[Edge, ...]:
         """Fully expanded edge list, sorted by edge id.  Requires every
@@ -173,16 +178,15 @@ class Graph:
         if self._finite_edges is None:
             edges = []
             for b in self.bundles:
-                if not b.cardinality.is_finite:
-                    raise InfiniteBundleError(
-                        f"bundle {b.id!r} is not finite; cannot expand edges")
                 n = b.cardinality.count
                 if n == 1:
-                    edges.append(Edge(b.id, b.src, b.dst))
+                    edges.append(Edge._make(b[:3]))  # its id, src and dst
+                elif n:
+                    edges += [Edge(f"{b.id}#{k}", b.src, b.dst) for k in range(n)]
                 else:
-                    for k in range(n):
-                        edges.append(Edge(f"{b.id}#{k}", b.src, b.dst))
-            edges.sort(key=lambda e: e.id)
+                    raise InfiniteBundleError(
+                        f"bundle {b.id!r} is not finite; cannot expand edges")
+            edges.sort()  # by id: ids are distinct
             self._finite_edges = tuple(edges)
         return self._finite_edges
 
@@ -345,10 +349,14 @@ def count_paths_from(g: Graph, base: str) -> dict[str, int]:
     return _count_paths(g, counts)
 
 
-def count_paths_ending(g: Graph) -> dict[str, int]:
+def count_paths_ending(g: Graph) -> Mapping[str, int]:
     """Number of paths (from anywhere, trivial included) ending at each
-    vertex."""
-    return _count_paths(g, dict.fromkeys(g.vertices, 1))
+    vertex, computed once per graph and cached on it read-only: a caller
+    that extends the counts (a chain over later deltas) copies them."""
+    if g._ending is None:
+        g._ending = MappingProxyType(
+            _count_paths(g, dict.fromkeys(g.vertices, 1)))
+    return g._ending
 
 
 def _count_paths(g: Graph, counts: dict[str, int]) -> dict[str, int]:
@@ -359,9 +367,9 @@ def _count_paths(g: Graph, counts: dict[str, int]) -> dict[str, int]:
         if not c:
             continue
         for b in g._out[v]:
-            if not b.cardinality.is_finite:
+            if not (k := b.cardinality.count):  # an infinite bundle
                 raise InfiniteBundleError(f"bundle {b.id!r} is not finite")
-            counts[b.dst] += c * b.cardinality.count
+            counts[b.dst] += c * k
     return counts
 
 
@@ -372,14 +380,10 @@ def _sinks_and_regular(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Sinks and regular vertices in graph order, computed once per graph
     and cached on it, with the regular ones as a set."""
     if g._kinds is None:
-        sk, regular = [], []
-        for v in g.vertices:
-            out = g._out[v]
-            if not out:
-                sk.append(v)
-            elif all(b.cardinality.is_finite for b in out):
-                regular.append(v)
-        g._kinds = (tuple(sk), tuple(regular))
+        out = g._out
+        infinite = {b.src for b in g.bundles if not b.cardinality.is_finite}
+        regular = [v for v in g.vertices if out[v] and v not in infinite]
+        g._kinds = (tuple([v for v in g.vertices if not out[v]]), tuple(regular))
         g._regular = frozenset(regular)
     return g._kinds
 

@@ -17,6 +17,7 @@ from graphck import (
     ChainError,
     CkReport,
     CyclicGraphError,
+    DocumentError,
     EdgeBundle,
     Graph,
     GraphBuildError,
@@ -40,6 +41,7 @@ from graphck import (
     regular_vertices,
     sinks,
 )
+from graphck import cli_io
 from graphck.bratteli import CORNER, TAIL
 from graphck.ideal_lattice import lattice_order
 from graphck.ck_matrix import (
@@ -853,3 +855,27 @@ def graph_and_subset(draw, **kwargs):
     g = draw(graphs(**kwargs))
     sub = draw(st.sets(st.sampled_from(list(g.vertices))))
     return g, frozenset(sub)
+
+
+# --- the command line through the top-level parser ----------------------------------
+
+
+def top_level_run_command(argv) -> tuple[int, str]:
+    """``run_command`` with every line parsed by the full top-level argparse
+    pass, which hands a named command's arguments on to that command's
+    parser: the oracle of the direct route."""
+    try:
+        args = cli_io.build_parser().parse_args(list(argv))
+    except SystemExit as exc:  # --help prints and exits on its own
+        return (exc.code if isinstance(exc.code, int) else 0), ""
+    except DocumentError as exc:
+        return 2, f"error: {exc}"
+    try:
+        code, reports = cli_io._dispatch(args)
+    except cli_io._FAILURES as exc:
+        code, message = cli_io._failure(exc)
+        return code, f"error: {message}"
+    if args.json:
+        objs = [r.to_obj() for r in reports]
+        return code, cli_io.render_json(objs[0] if len(objs) == 1 else objs)
+    return code, "\n\n".join(r.render_text() for r in reports)

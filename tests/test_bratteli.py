@@ -1,5 +1,6 @@
 # Chains of single matrix blocks, their limits, and the embedding check.
 
+import contextlib
 import sys
 
 import pytest
@@ -343,6 +344,75 @@ def test_a_delta_landing_on_an_older_vertex_builds_only_its_stage(monkeypatch):
     assert chain == want
     assert chain.d == (1, 2, 4, 5, 6, 7)  # f.e_1.e_2 joins at stage 3
     assert built == [4]  # stage 3 alone: v_1, v_2, v_3 and u
+
+
+@contextlib.contextmanager
+def _built_graphs():
+    """Every ``Graph`` built inside the block."""
+    built, init = [], Graph.__init__
+
+    def recording(self, vertices, bundles):
+        init(self, vertices, bundles)
+        built.append(self)
+
+    Graph.__init__ = recording
+    try:
+        yield built
+    finally:
+        Graph.__init__ = init
+
+
+def _counts_or_error(g):
+    try:
+        return dict(graph_model.count_paths_ending(g))
+    except GraphAlgebraError as e:
+        return type(e)
+
+
+def _assert_counts_intact(graphs):
+    # each graph caches its path counts; a chain that goes on over later
+    # deltas from a built stage's counts must extend a copy
+    for g in list(graphs):
+        assert _counts_or_error(g) == _counts_or_error(
+            Graph(g.vertices, g.bundles)), g.vertices
+
+
+# the ray with extra vertices and bundles in one delta, each making that
+# delta not plain, so the chain builds its stage and counts on from it
+_RAY_TAMPERS = {
+    "lands-on-older": {3: (["u"], [EdgeBundle("f", "u", "v_1")])},
+    "parallel-older": {3: ([], [EdgeBundle("x", "v_1", "v_2")])},
+    "infinite-side-bundle": {2: (["s"], [EdgeBundle("s", "s", "v_2", ALEPH0)])},
+    "cyclic-delta": {2: (["c"], [EdgeBundle("l", "c", "c")])},
+}
+
+
+@pytest.mark.parametrize("extra", list(_RAY_TAMPERS.values()),
+                         ids=list(_RAY_TAMPERS))
+def test_tail_chain_leaves_built_stages_counts_intact(extra):
+    delta = helpers.ray_plus(extra)
+    want = _outcome(helpers.stagewise_tail_chain,
+                    StagedGraph("ray-plus", delta, size_of(delta)), 6)
+    with _built_graphs() as built:
+        got = _outcome(tail_chain,
+                       StagedGraph("ray-plus", delta, size_of(delta)), 6)
+    assert got == want
+    assert built
+    _assert_counts_intact(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.mixed_deltas())
+def test_chains_on_mixed_deltas_leave_built_stages_counts_intact(deltas):
+    def delta(k):
+        return deltas[k]
+
+    corner = next((v for vs, _ in deltas for v in vs), "x")
+    with _built_graphs() as built:
+        for chain, args in ((corner_chain, (corner,)), (tail_chain, ())):
+            _outcome(chain, StagedGraph("mixed", delta, size_of(delta)),
+                     max(len(deltas) - 1, 1), *args)
+    _assert_counts_intact(built)
 
 
 # --- direct limits ---------------------------------------------------------------

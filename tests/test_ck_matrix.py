@@ -40,7 +40,7 @@ from graphck import (
     verify_ck,
 )
 
-from graphck import ck_matrix, cli_io
+from graphck import ck_matrix, cli_io, graph_model
 from graphck.ck_matrix import MatrixRep
 
 import helpers
@@ -178,7 +178,7 @@ def test_grown_basis_must_match_the_path_count(monkeypatch):
     count = ck_matrix.count_paths_ending
 
     def one_more(g):
-        out = count(g)
+        out = dict(count(g))  # the graph's cached counts are read-only
         out["w_4"] += 1
         return out
 
@@ -819,6 +819,26 @@ def _lower_a_row(rep):
     rep.edge_maps["e0"] = {1: 3, 4: 0}
 
 
+def _list_columns_backwards(rep):
+    # s_e0 swaps its rows as _swap_isometry_rows does, listed by falling
+    # column so that its rows rise as listed
+    rep.edge_maps["e0"] = {4: 3, 1: 5}
+
+
+# the relation pass counts one union of every map's rows; when it falls
+# short, the maps are walked to tell a shared row from a map that is not
+# injective
+
+
+def _land_on_a_taken_row(rep):
+    # s_e1 stays injective but lands on s_e0's row 3, outside p_v1
+    rep.edge_maps["e1"] = {2: 3}
+
+
+def _two_columns_to_one_row(rep):
+    rep.edge_maps["e0"] = {1: 3, 4: 3}
+
+
 # every relation still holds after each tamper below; only the certificate
 # pass refuses
 
@@ -846,6 +866,7 @@ def _stray_position(rep):
 
 
 _NO_LEAD = "has no lead position outside its out-edges' ranges"
+_NOT_INJECTIVE = "generator s_e0 is not a partial permutation"
 
 
 _TAMPERED = [
@@ -859,16 +880,21 @@ _TAMPERED = [
      "generator s_e0 does not keep the basis order"),
     (lambda: line(3), "none", _lower_a_row,
      "generator s_e0 does not keep the basis order"),
+    (lambda: line(3), "none", _list_columns_backwards,
+     "generator s_e0 does not keep the basis order"),
     (g1, "none", _map_onto_a_lead, f"terminal v {_NO_LEAD}"),
     (_isolated_sink, "all", _empty_isolated_sink, f"terminal u {_NO_LEAD}"),
     (_isolated_sink, "none", _empty_isolated_sink, f"terminal u {_NO_LEAD}"),
     (g1, "none", _stray_position,
      "model has 4 positions; its terminals have 3 paths into them"),
+    (lambda: line(3), "none", _land_on_a_taken_row, "ck2 fails at edge e1"),
+    (lambda: line(3), "none", _two_columns_to_one_row, _NOT_INJECTIVE),
 ]
 
 
 _TAMPERED_IDS = ["domain", "overlap", "cover", "support", "lead", "least_row",
-                 "lead_in_range", "empty_sink", "empty_sink_toeplitz", "stray"]
+                 "listed_backwards", "lead_in_range", "empty_sink",
+                 "empty_sink_toeplitz", "stray", "shared_row", "two_to_one"]
 
 
 def _tampered(make, relative, tamper):
@@ -883,7 +909,12 @@ def _tampered(make, relative, tamper):
                          ids=_TAMPERED_IDS)
 def test_tampered_model_fails_the_same_relations_on_both_routes(
         make, relative, tamper, message):
-    _assert_routes_agree(_tampered(make, relative, tamper)[1])
+    rep = _tampered(make, relative, tamper)[1]
+    if message == _NOT_INJECTIVE:  # refused before any relation is read
+        with pytest.raises(InternalCheckError, match=message):
+            verify_ck(rep)
+    else:
+        _assert_routes_agree(rep)
 
 
 @pytest.mark.parametrize("make, relative, tamper, message", _TAMPERED,
@@ -891,7 +922,8 @@ def test_tampered_model_fails_the_same_relations_on_both_routes(
 def test_tampered_model_fails_its_certificate(make, relative, tamper, message,
                                               tmp_path, monkeypatch):
     g, rep = _tampered(make, relative, tamper)
-    assert all(len(set(m.values())) == len(m) for m in rep.edge_maps.values())
+    assert all(len(set(m.values())) == len(m) for m in rep.edge_maps.values()
+               ) == (message != _NOT_INJECTIVE)
     with pytest.raises(InternalCheckError) as ei:
         algebra_dimension(rep)
     assert str(ei.value) == message
@@ -974,3 +1006,27 @@ def test_deep_ladder_dimensions_neither_eliminate_nor_enumerate(monkeypatch):
                               "12", "--verify-embedding", "--json"])
     assert code == 0
     assert json.loads(text)["embedding_ok"] is True
+
+
+@pytest.mark.parametrize("source", [["--graph", "DOC"],
+                                    ["--family", "forbidden_ladder",
+                                     "--depth", "6"]], ids=["graph", "family"])
+@pytest.mark.parametrize("export", [False, True], ids=["plain", "export"])
+def test_ck_runs_one_path_count_pass_per_graph(source, export, tmp_path,
+                                               monkeypatch):
+    # the build, the size admission, the certificate pass, the dimension
+    # and the blocks all read the graph's cached path counts
+    doc = tmp_path / "g.json"
+    doc.write_text(json.dumps(emit_graph_document(diamond())))
+    passes = []
+    count = graph_model._count_paths
+    monkeypatch.setattr(graph_model, "_count_paths",
+                        lambda g, counts: passes.append(g) or count(g, counts))
+    argv = ["ck", *[str(doc) if a == "DOC" else a for a in source],
+            "--relative", "all", "--json"]
+    if export:
+        argv += ["--export", str(tmp_path / "model.json")]
+    code, text = run_command(argv)
+    assert code == 0, text
+    assert json.loads(text)["blocks"]
+    assert len(passes) == 1

@@ -36,6 +36,7 @@ from graphck.classifier import LADDER_WORK_BOUND
 from graphck.graph_model import STAGE_WORK_BOUND
 from graphck.ideal_lattice import BASIS_SIZE_BOUND
 
+import helpers
 from helpers import g1, graphs, line, two_sinks
 
 GRAPH_DIR = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "graphs"
@@ -1011,6 +1012,65 @@ def test_closed_stderr_exits_2():
     # the refusal goes to the closed stderr, and so would the write error
     argv = ["corner", "--graph", str(GRAPH_DIR / "g1.json"), "--vertex", "nope"]
     assert _run_with_closed("stderr", argv) == (2, "")
+
+
+# --- run_command: the direct route against the top-level parser ----------------------
+
+_G1 = str(GRAPH_DIR / "g1.json")
+_NO_DIR = str(GRAPH_DIR / "no-such-dir" / "out.json")  # refused, never written
+
+# argv pieces every command is drawn with: a source, then options that are
+# mostly well formed, and some abbreviated, joined by "=", repeated (one
+# piece drawn twice), with bad or missing values, unknown, or asking for help
+_SOURCES = [["--graph", _G1], ["--family", "ladder2"], ["--family", "ray"],
+            ["--family", "rose2"], []]
+_GOOD_PIECES = [
+    ["--depth", "3"], ["--depth=5"], ["--dep", "4"], ["--relative", "all"],
+    ["--relative", "none"], ["--vertex", "v"], ["--vertex", "w_1"],
+    ["--verify-embedding"], ["--json"], ["--list"], ["--batch", _G1],
+    ["ladder2"],
+]
+_BAD_PIECES = [
+    ["--graph", "missing.json"], ["--family", "nope"], ["--depth", "x"],
+    ["--depth", "-1"], ["--depth"], ["--relative", ",w"], ["--relative", "q"],
+    ["--out", _NO_DIR], ["--export", _NO_DIR], ["--bogus"], ["--bogus=1"],
+    ["-h"], ["--help"], ["--he"], ["--"], ["-x"],
+]
+
+
+@st.composite
+def argv_lines(draw):
+    commands = sorted(cli_io.build_parser().commands)
+    head = draw(st.sampled_from(commands * 3 + ["bogus", "--json", "-h"]))
+    pieces = [draw(st.sampled_from(_SOURCES))] + draw(st.lists(
+        st.sampled_from(_GOOD_PIECES * 4 + _BAD_PIECES), max_size=4))
+    argv = [head] + [a for piece in pieces for a in piece]
+    if head.startswith("-") and draw(st.booleans()):
+        argv.insert(1, draw(st.sampled_from(commands)))  # an option before it
+    return argv
+
+
+def _run_capturing(route, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code, text = route(argv)
+    return code, text, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv_lines())
+@example([])
+@example(["-h"])
+@example(["ck", "-h"])
+@example(["--json", "ck", "--graph", _G1])
+@example(["ck", "--graph", _G1, "--dep", "3", "--depth=7", "--depth", "2"])
+@example(["bratteli", "--family", "ladder2", "--depth"])
+def test_direct_route_matches_the_top_level_parser(argv):
+    got = _run_capturing(run_command, argv)
+    assert got == _run_capturing(helpers.top_level_run_command, argv)
+    code, text, printed = got
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in text + printed, argv
 
 
 # --- batch mode -----------------------------------------------------------------------
