@@ -10,19 +10,27 @@ theorem makes equivalent:
 * route 3 — every cycle has an exit and the only saturated hereditary
   vertex sets are empty and full.
 
-Route 2 is O(V + E).  Condition (L) follows unique out-edges once.
-Cofinality searches back from the cyclic strongly connected components
-in order and stops at the first one some vertex misses; two distinct
-components cannot both be reached from everywhere, so that is at most two
-searches.  Every vertex reaches every singular vertex exactly when every
-vertex reaches the first singular vertex s0 and s0 reaches the others: one
-backward search from s0, and one forward search when there are others.
+Both routes read the strongly connected components that Tarjan's pass
+caches on the graph, in one walk that marks each component bottom (no
+bundle leaves it), cyclic, or holding a singular vertex.
 
-Route 3 never enumerates that lattice.  Every nonempty saturated
+Route 2 rests on one lemma: every vertex reaches some bottom component,
+and a bottom component reaches only itself.  Proof: following bundles out
+of components walks down the finite acyclic graph of components until it
+stops at one that no bundle leaves; and nothing leaves a bottom component.
+So a component reached from every vertex is reached from each bottom one,
+hence is the unique bottom component.  The graph is cofinal exactly when
+every cyclic component is that unique bottom component, and every vertex
+reaches every singular vertex exactly when every singular vertex lies in
+it.  No reachability search runs; the unreached-cycle witness alone is
+worded by ``cofinal``'s searches.  Condition (L) follows unique out-edges
+once.
+
+Route 3 never enumerates the lattice of those sets.  Every nonempty saturated
 hereditary set contains the saturated hereditary closure of a bottom
-strongly connected component (one that no edge leaves), so the lattice is
-trivial exactly when each such closure is the full vertex set.  The
-closures are pairwise disjoint, so computing all of them is O(V + E).
+component, so the lattice is trivial exactly when each such closure is
+the full vertex set.  The closures are pairwise disjoint, so computing
+all of them is O(V + E).
 
 Both routes are computed on every graph and must agree; a disagreement is
 a bug, not a property of the graph.
@@ -30,8 +38,8 @@ a bug, not a property of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     BoundExceededError,
@@ -49,14 +57,13 @@ from .graph_model import (
     count_paths_ending,
     cycles_and_condition_l,
     has_cycle,
-    reachable_set,
-    singular_vertices,
+    regular_set,
     sinks,
     strongly_connected_components,
     topological_order,
     traverse,
 )
-from .ideal_lattice import lattice_order, saturated_hereditary_closure
+from .ideal_lattice import _close, lattice_order
 
 
 # --- row class ---------------------------------------------------------------
@@ -88,8 +95,7 @@ def is_af(g: Graph) -> bool:
 # --- simplicity ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Evidence that simplicity fails: an exitless cycle, a vertex that
     misses a cycle, or a proper nontrivial saturated hereditary set."""
 
@@ -108,8 +114,7 @@ class Witness:
                 f"{{{', '.join(sorted(self.vertex_set))}}}")
 
 
-@dataclass(frozen=True)
-class SimplicityResult:
+class SimplicityResult(NamedTuple):
     simple: bool
     route2: bool
     route3: bool
@@ -120,22 +125,54 @@ class SimplicityResult:
     lattice_trivial: bool
 
 
+_EMPTY: frozenset[str] = frozenset()
+
+
 def is_simple(g: Graph) -> SimplicityResult:
-    """Decide simplicity over both routes and cross-check them."""
+    """Decide simplicity over both routes and cross-check them, in one
+    walk over the cached strongly connected components (see the module
+    docstring): O(V + E) time and memory."""
     if not g.vertices:
         raise EmptyGraphError("simplicity is about nonempty graphs")
     cyc = cycles_and_condition_l(g)
-    cof = cofinal(g)
-    # every vertex reaches every singular vertex iff every vertex reaches
-    # the first one and the first one reaches all the others
-    singular = singular_vertices(g)
-    reach_ok = not singular or (
-        len(_reaching_set(g, singular[0])) == len(g.vertices)
-        and (len(singular) == 1
-             or reachable_set(g, singular[0]).issuperset(singular)))
-    route2 = cyc.condition_l and cof.cofinal and reach_ok
-
-    proper = _proper_bottom_closures(g)
+    out, regular, n = g._out, regular_set(g), len(g.vertices)
+    bottoms = 0
+    cyclic_bottom = singular_bottom = False  # in some bottom component
+    cyclic_above = singular_above = False    # in some other component
+    proper: list[frozenset[str]] = []        # bottom closures short of V
+    for comp in strongly_connected_components(g):
+        if len(comp) == 1:
+            v = comp[0]
+            cyclic = leaves = False
+            for b in out[v]:
+                if b.dst == v:
+                    cyclic = True
+                else:
+                    leaves = True
+            bottom = not leaves
+            singular = v not in regular
+        else:
+            members = set(comp)
+            cyclic = True
+            bottom = all(b.dst in members for v in comp for b in out[v])
+            singular = not regular.issuperset(comp)
+        if bottom:
+            bottoms += 1
+            cyclic_bottom |= cyclic
+            singular_bottom |= singular
+            closure = _close(g, _EMPTY, comp)
+            if len(closure) != n:
+                proper.append(closure)
+        else:
+            cyclic_above |= cyclic
+            singular_above |= singular
+    # every vertex reaches a bottom component, and a bottom component only
+    # itself: a cycle or singular vertex is reached from everywhere exactly
+    # when it lies in the unique bottom component
+    unique = bottoms == 1
+    cof = not cyclic_above and (unique or not cyclic_bottom)
+    reach_ok = not singular_above and (unique or not singular_bottom)
+    route2 = cyc.condition_l and cof and reach_ok
     lattice_trivial = not proper
     route3 = cyc.condition_l and lattice_trivial
     if route3 != route2:
@@ -145,10 +182,11 @@ def is_simple(g: Graph) -> SimplicityResult:
     witness: Witness | None = None
     if not route2:
         if not cyc.condition_l:
-            witness = Witness("exitless-cycle", cycle=cyc.witness)
-        elif not cof.cofinal:
-            v, cycle = cof.witness
-            witness = Witness("unreached-cycle", cycle=cycle, vertex=v)
+            witness = Witness("exitless-cycle", cyc.witness)
+        elif not cof:
+            # the searches run only to name the vertex and the cycle
+            v, cycle = cofinal(g).witness
+            witness = Witness("unreached-cycle", cycle, v)
         else:
             # condition (L) and cofinality hold but some singular vertex is
             # unreachable; the lattice then has a proper nontrivial element,
@@ -156,26 +194,14 @@ def is_simple(g: Graph) -> SimplicityResult:
             # closure, since every nontrivial element contains one
             witness = Witness("saturated-hereditary-set",
                               vertex_set=min(proper, key=lattice_order))
-    return SimplicityResult(route2, route2, route3, witness,
-                            cyc.condition_l, cof.cofinal, reach_ok,
-                            lattice_trivial)
-
-
-def _proper_bottom_closures(g: Graph) -> list[frozenset[str]]:
-    """Saturated hereditary closures of the bottom strongly connected
-    components that fall short of the full vertex set."""
-    proper = []
-    for comp in strongly_connected_components(g):
-        members = set(comp)
-        if all(b.dst in members for v in comp for b in g._out[v]):
-            closure = saturated_hereditary_closure(g, comp)
-            if len(closure) != len(g.vertices):
-                proper.append(closure)
-    return proper
+    return SimplicityResult(route2, route2, route3, witness, cyc.condition_l,
+                            cof, reach_ok, lattice_trivial)
 
 
 def _reaching_set(g: Graph, target: str) -> set[str]:
-    """Vertices with a (possibly trivial) path to ``target``."""
+    """Vertices with a (possibly trivial) path to ``target``.  Simplicity
+    runs no search; the name stays bound because perfbench/tracer.py wraps
+    it as part of the route-2 layer."""
     return traverse(g, [target], forward=False)
 
 
@@ -231,8 +257,7 @@ class DichotomyTag(Enum):
     NEITHER_THROUGH_DEPTH = "NeitherThroughDepth"
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(NamedTuple):
     tag: DichotomyTag
     sink: str | None = None
     tail_vertices: tuple[str, ...] = ()
@@ -310,8 +335,7 @@ class VerdictTag(Enum):
     UNKNOWN_AT_DEPTH = "UnknownAtDepth"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     tag: VerdictTag
     dimension: int | None = None         # finite dimension, when known
     countably_infinite: bool = False     # dimension is countably infinite

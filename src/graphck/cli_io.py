@@ -98,7 +98,6 @@ from .ideal_lattice import (
 
 
 _DOC_KEYS = frozenset(("name", "vertices", "edges"))
-_EDGE_KEYS = frozenset(("id", "src", "dst", "cardinality"))
 # a Cardinality is immutable, so one parse of each text is shared
 _cardinality = functools.lru_cache(maxsize=256)(Cardinality.parse)
 
@@ -108,27 +107,36 @@ def parse_graph_document(doc: object) -> Graph:
 
     The pass checks each entry's keys and types and reads each cardinality
     text through a cache; the ``Graph`` constructor checks ids and
-    endpoints.  A document either refuses goes to ``_walk_document``,
-    which names the first offence by field path."""
+    endpoints.  It builds each bundle with ``tuple.__new__``, skipping the
+    named tuple's own constructor, since the four fields are already
+    checked.  A document either refuses goes to ``_walk_document``, which
+    names the first offence by field path."""
     try:
         if type(doc) is dict and doc.keys() <= _DOC_KEYS:
             verts, edges = doc.get("vertices"), doc.get("edges", [])
             if (type(doc.get("name")) in (str, type(None))
                     and type(verts) is list and type(edges) is list
                     and all(type(v) is str and v for v in verts)):
-                bundles = []
+                bundles: list[EdgeBundle] = []
+                add, new, card = bundles.append, tuple.__new__, _cardinality
                 for e in edges:
-                    if type(e) is not dict or not e.keys() <= _EDGE_KEYS:
+                    if type(e) is not dict:
                         break
-                    i, src, dst = e.get("id"), e.get("src"), e.get("dst")
-                    text = e.get("cardinality", "finite:1")
+                    # id, src and dst must be there (a KeyError otherwise),
+                    # so the length rules out any other key
+                    text = e.get("cardinality")
+                    if len(e) != (3 if text is None else 4):
+                        break
+                    i, src, dst = e["id"], e["src"], e["dst"]
+                    if text is None:
+                        text = "finite:1"
                     if not (type(i) is str and i and type(src) is str and src
                             and type(dst) is str and dst and type(text) is str):
                         break
-                    bundles.append(EdgeBundle(i, src, dst, _cardinality(text)))
+                    add(new(EdgeBundle, (i, src, dst, card(text))))
                 else:
                     return Graph(verts, bundles)
-    except GraphBuildError:
+    except (GraphBuildError, KeyError):
         pass
     return _walk_document(doc)
 
@@ -296,7 +304,10 @@ def _write_json(obj, out: list[str], pad: str) -> None:
     """Append the indented text of ``obj``; ``pad`` opens its own lines.
     Strings, ints, bools, None, lists, tuples and dicts with str keys are
     written here; anything else (a float, a dict with other keys, a type
-    json refuses) goes to ``json.dumps``, indented to fit."""
+    json refuses) goes to ``json.dumps``, indented to fit.  A str, bool or
+    None inside a list or dict is written in the same append as its key or
+    separator, with no call of its own, and a dict's keys are checked as
+    they are written, not in a pass before."""
     t = type(obj)
     if t is str:
         out.append(_quote(obj))
@@ -309,24 +320,56 @@ def _write_json(obj, out: list[str], pad: str) -> None:
             out.append("[]")
             return
         inner = pad + "  "
-        out.append("[")
-        for i, item in enumerate(obj):
-            out.append("," + inner if i else inner)
-            _write_json(item, out, inner)
+        lead = "[" + inner
+        for item in obj:
+            t = type(item)
+            if t is str:
+                out.append(lead + _quote(item))
+            elif t is bool or item is None:
+                out.append(lead + _CONSTANT[item])
+            else:
+                out.append(lead)
+                _write_json(item, out, inner)
+            lead = "," + inner
         out.append(pad + "]")
-    elif t is dict and all(type(k) is str for k in obj):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        out.append("{")
-        for i, k in enumerate(sorted(obj)):
-            out.append(("," + inner if i else inner) + _quote(k) + ": ")
-            _write_json(obj[k], out, inner)
-        out.append(pad + "}")
+    elif t is dict and obj:
+        mark, inner = len(out), pad + "  "
+        lead = "{" + inner
+        try:
+            keys = sorted(obj)
+        except TypeError:  # json words the refusal
+            keys = ()
+        for k in keys:
+            if type(k) is not str:
+                del out[mark:]
+                break
+            v = obj[k]
+            t = type(v)
+            if t is str:
+                out.append(lead + _quote(k) + ": " + _quote(v))
+            elif t is bool or v is None:
+                out.append(lead + _quote(k) + ": " + _CONSTANT[v])
+            else:
+                out.append(lead + _quote(k) + ": ")
+                _write_json(v, out, inner)
+            lead = "," + inner
+        else:
+            if keys:
+                out.append(pad + "}")
+                return
+        _write_other(obj, out, pad)
+    elif t is dict:
+        out.append("{}")
     else:
-        out.append(json.dumps(obj, indent=2, sort_keys=True).replace(
-            "\n", pad))
+        _write_other(obj, out, pad)
+
+
+# looked up only for None and the two bools
+_CONSTANT = {None: "null", True: "true", False: "false"}
+
+
+def _write_other(obj, out: list[str], pad: str) -> None:
+    out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad))
 
 
 # --- subcommand bodies --------------------------------------------------------

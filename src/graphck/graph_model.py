@@ -126,19 +126,22 @@ class Graph:
         self.vertex_set: frozenset[str] = frozenset(self.vertices)
         if len(self.vertex_set) != len(self.vertices):
             raise GraphBuildError("duplicate vertex id")
-        self._by_id: dict[str, EdgeBundle] = {}
-        self._out: dict[str, list[EdgeBundle]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[EdgeBundle]] = {v: [] for v in self.vertices}
+        # indexed through locals: every parsed document comes this way
+        by_id: dict[str, EdgeBundle] = {}
+        out: dict[str, list[EdgeBundle]] = {v: [] for v in self.vertices}
+        into: dict[str, list[EdgeBundle]] = {v: [] for v in self.vertices}
         for b in self.bundles:
-            if b.id in self._by_id:
-                raise GraphBuildError(f"duplicate bundle id {b.id!r}")
-            if b.src not in self.vertex_set:
-                raise GraphBuildError(f"bundle {b.id!r}: unknown src {b.src!r}")
-            if b.dst not in self.vertex_set:
-                raise GraphBuildError(f"bundle {b.id!r}: unknown dst {b.dst!r}")
-            self._by_id[b.id] = b
-            self._out[b.src].append(b)
-            self._in[b.dst].append(b)
+            i, src, dst, _ = b
+            if i in by_id:
+                raise GraphBuildError(f"duplicate bundle id {i!r}")
+            if src not in out:
+                raise GraphBuildError(f"bundle {i!r}: unknown src {src!r}")
+            if dst not in out:
+                raise GraphBuildError(f"bundle {i!r}: unknown dst {dst!r}")
+            by_id[i] = b
+            out[src].append(b)
+            into[dst].append(b)
+        self._by_id, self._out, self._in = by_id, out, into
         self._finite_edges: tuple[Edge, ...] | None = None
         self._components: tuple[tuple[str, ...], ...] | None = None
         self._cyclic: bool | None = None
@@ -381,7 +384,8 @@ def _sinks_and_regular(g: Graph) -> tuple[tuple[str, ...], tuple[str, ...]]:
     and cached on it, with the regular ones as a set."""
     if g._kinds is None:
         out = g._out
-        infinite = {b.src for b in g.bundles if not b.cardinality.is_finite}
+        # an infinite cardinality carries count 0
+        infinite = {b.src for b in g.bundles if not b.cardinality.count}
         regular = [v for v in g.vertices if out[v] and v not in infinite]
         g._kinds = (tuple([v for v in g.vertices if not out[v]]), tuple(regular))
         g._regular = frozenset(regular)
@@ -552,22 +556,26 @@ def _cycle_within(g: Graph, comp: list[str]) -> Path:
     raise CyclicGraphError("component is not cyclic")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     has_cycle: bool
     condition_l: bool
     witness: Path | None  # an exitless cycle when condition (L) fails
 
 
+_ACYCLIC = CycleReport(False, True, None)
+
+
 def cycles_and_condition_l(g: Graph) -> CycleReport:
     """Cycle existence plus the every-cycle-has-an-exit condition.
 
-    An exitless cycle can only run through vertices whose entire emission
-    is a single one-edge bundle, so it suffices to follow those unique
+    An acyclic graph gets one shared report and no walk.  Otherwise an
+    exitless cycle can only run through vertices whose entire emission is
+    a single one-edge bundle, so it suffices to follow those unique
     out-edges and look for a loop.  A bundle of cardinality >= 2 from a
     cycle vertex always provides an exit.
     """
-    cyclic = has_cycle(g)
+    if not has_cycle(g):
+        return _ACYCLIC
     # vertices with exactly one out-edge overall
     unique_out: dict[str, EdgeBundle] = {}
     for v in g.vertices:
@@ -595,11 +603,10 @@ def cycles_and_condition_l(g: Graph) -> CycleReport:
             break
         for u in trail:
             state[u] = 1
-    return CycleReport(cyclic, witness is None, witness)
+    return CycleReport(True, witness is None, witness)
 
 
-@dataclass(frozen=True)
-class CofinalityResult:
+class CofinalityResult(NamedTuple):
     cofinal: bool
     witness: tuple[str, Path] | None  # (vertex, a cycle it cannot reach)
 

@@ -103,7 +103,8 @@ def _close(g: Graph, inside: frozenset[str],
                 continue
             left = outside.get(u)
             if left is None:
-                left = sum(d.dst not in inside for d in out[u])
+                left = (sum(d.dst not in inside for d in out[u]) if inside
+                        else len(out[u]))
             left -= 1
             outside[u] = left
             if not left and u in regular:

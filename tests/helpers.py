@@ -29,8 +29,10 @@ from graphck import (
     SpineError,
     StagedGraph,
     build_graph,
+    cofinal,
     count_paths_ending,
     count_paths_from,
+    cycles_and_condition_l,
     enumerate_paths,
     exact_rank,
     finite,
@@ -39,10 +41,15 @@ from graphck import (
     ray_family,
     reachable_set,
     regular_vertices,
+    saturated_hereditary_closure,
+    singular_vertices,
     sinks,
+    strongly_connected_components,
 )
 from graphck import cli_io
 from graphck.bratteli import CORNER, TAIL
+from graphck.classifier import SimplicityResult, Witness
+from graphck.graph_model import traverse
 from graphck.ideal_lattice import lattice_order
 from graphck.ck_matrix import (
     GapEntry,
@@ -528,6 +535,42 @@ def brute_reaches_all_singular(g: Graph) -> bool:
         if back != g.vertex_set:
             return False
     return True
+
+
+def traversal_simplicity(g: Graph) -> SimplicityResult:
+    """``is_simple`` by the earlier traversal route: route 2 from
+    ``cofinal``'s backward searches and one backward search from the first
+    singular vertex plus one forward search from it; route 3 from the
+    closures of the bottom components, named one by one.  The oracle of
+    the one-walk route, which reads both off the cached components."""
+    cyc = cycles_and_condition_l(g)
+    cof = cofinal(g)
+    singular = singular_vertices(g)
+    reach_ok = not singular or (
+        len(traverse(g, [singular[0]], forward=False)) == len(g.vertices)
+        and (len(singular) == 1
+             or reachable_set(g, singular[0]).issuperset(singular)))
+    route2 = cyc.condition_l and cof.cofinal and reach_ok
+    proper = []
+    for comp in strongly_connected_components(g):
+        members = set(comp)
+        if all(b.dst in members for v in comp for b in g._out[v]):
+            closure = saturated_hereditary_closure(g, comp)
+            if len(closure) != len(g.vertices):
+                proper.append(closure)
+    route3 = cyc.condition_l and not proper
+    witness = None
+    if not route2:
+        if not cyc.condition_l:
+            witness = Witness("exitless-cycle", cycle=cyc.witness)
+        elif not cof.cofinal:
+            v, cycle = cof.witness
+            witness = Witness("unreached-cycle", cycle=cycle, vertex=v)
+        else:
+            witness = Witness("saturated-hereditary-set",
+                              vertex_set=min(proper, key=lattice_order))
+    return SimplicityResult(route2, route2, route3, witness, cyc.condition_l,
+                            cof.cofinal, reach_ok, not proper)
 
 
 # --- enumerated model oracle ----------------------------------------------------------

@@ -1,7 +1,10 @@
 # Row classes, simplicity (two routes), ladders, dichotomy, and the verdict.
 
+import json
+import pathlib
 import sys
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 
@@ -34,7 +37,9 @@ from graphck import (
     aleph0_rose_family,
     uncountable_rose_family,
 )
-from graphck import classifier
+from graphck import classifier, graph_model
+from graphck.cli_io import load_graph_file, run_command
+from graphck.families import builtin_family
 
 import helpers
 from helpers import (
@@ -48,6 +53,8 @@ from helpers import (
     single_loop,
     two_sinks,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # --- row classes -----------------------------------------------------------------
@@ -127,15 +134,19 @@ def test_routes_agree_exhaustively():
         assert res.route2 == res.route3, (n, arcs)
 
 
-def test_is_simple_never_enumerates_the_lattice(monkeypatch):
+def _refuse_in_graphck(monkeypatch, name):
+    """Make every graphck binding of ``name`` raise when called."""
     def refuse(*args, **kwargs):
-        raise AssertionError("is_simple enumerated the ideal lattice")
+        raise AssertionError(f"{name} ran")
 
-    for name, mod in list(sys.modules.items()):
-        if name == "graphck" or name.startswith("graphck."):
-            if hasattr(mod, "enumerate_saturated_hereditary"):
-                monkeypatch.setattr(mod, "enumerate_saturated_hereditary",
-                                    refuse)
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "graphck" or mod_name.startswith("graphck.")) \
+                and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, refuse)
+
+
+def test_is_simple_never_enumerates_the_lattice(monkeypatch):
+    _refuse_in_graphck(monkeypatch, "enumerate_saturated_hereditary")
     for g in (g1(), two_sinks(), diamond(), disjoint_loops(),
               Graph([f"v{i}" for i in range(16)], [])):
         res = is_simple(g)
@@ -159,26 +170,93 @@ def test_reaches_all_singular_matches_per_singular_oracle(g):
         helpers.brute_reaches_all_singular(g)
 
 
-def test_route2_reach_check_is_two_searches(monkeypatch):
-    # a 50-cycle of aleph0 bundles: every vertex is singular
+def _assert_matches_the_traversal_route(g, where):
+    got, want = is_simple(g), helpers.traversal_simplicity(g)
+    assert got._asdict() == want._asdict(), where
+    if want.witness is not None:
+        assert got.witness.describe() == want.witness.describe(), where
+
+
+def test_one_walk_matches_the_traversal_route_on_the_universe():
+    for n, arcs in helpers.digraph_universe():
+        _assert_matches_the_traversal_route(graph_of(n, arcs), (n, arcs))
+
+
+@hypothesis.seed(26)
+@settings(max_examples=400, deadline=None)
+@given(graphs(max_vertices=7, max_bundles=10, infinite_ok=True))
+def test_one_walk_matches_the_traversal_route_on_random_graphs(g):
+    _assert_matches_the_traversal_route(g, g.bundles)
+
+
+BUILTIN_FAMILIES = ("ladder1", "ladder2", "ladder3", "ray",
+                    "forbidden_ladder", "forbidden_ladder_1_3",
+                    "forbidden_ladder_2_3", "rose2", "rose3", "aleph0_rose",
+                    "uncountable_rose")
+
+
+def test_one_walk_matches_the_traversal_route_on_family_stages_and_scripts():
+    for name in BUILTIN_FAMILIES:
+        sg = builtin_family(name)
+        for n in range(13):
+            g = sg.stage(n)
+            if g.vertices:
+                _assert_matches_the_traversal_route(g, (name, n))
+    docs = sorted((ROOT / "scripts" / "graphs").glob("*.json"))
+    assert docs
+    for path in docs:
+        _assert_matches_the_traversal_route(load_graph_file(str(path)), path)
+
+
+def test_route2_decides_an_aleph0_cycle_without_a_search(monkeypatch):
+    # a 50-cycle of aleph0 bundles: every vertex is singular, and the one
+    # component is the bottom one, so no reachability search is needed
     vs = [f"c{i}" for i in range(50)]
     g = build_graph(vs, [EdgeBundle(f"e{i}", v, vs[(i + 1) % 50], ALEPH0)
                          for i, v in enumerate(vs)])
-    calls = {"back": 0, "forward": 0}
-
-    def counting(key, fn):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(classifier, "_reaching_set",
-                        counting("back", classifier._reaching_set))
-    monkeypatch.setattr(classifier, "reachable_set",
-                        counting("forward", classifier.reachable_set))
+    for name in ("traverse", "cofinal", "reachable_set", "_reaching_set"):
+        _refuse_in_graphck(monkeypatch, name)
     res = is_simple(g)
-    assert res.simple and res.reaches_all_singular
-    assert calls["back"] <= 1 and calls["forward"] <= 1
+    assert res.simple and res.cofinal and res.reaches_all_singular
+
+
+def test_a_batch_runs_tarjan_once_per_document(monkeypatch, tmp_path):
+    # cofinal's searches run only to word an unreached-cycle witness
+    stranded = tmp_path / "stranded.json"
+    stranded.write_text(json.dumps(
+        {"vertices": ["u", "z"],
+         "edges": [{"id": "l_1", "src": "u", "dst": "u"},
+                   {"id": "l_2", "src": "u", "dst": "u"}]}))
+    tarjan_runs, cofinal_graphs = [], []
+    scc, cof = graph_model.strongly_connected_components, graph_model.cofinal
+
+    def counted_scc(g):
+        if g._components is None:
+            tarjan_runs.append(g)
+        return scc(g)
+
+    def counted_cofinal(g):
+        cofinal_graphs.append(g)
+        return cof(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "graphck" or name.startswith("graphck."):
+            for attr, fn in (("strongly_connected_components", counted_scc),
+                             ("cofinal", counted_cofinal)):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, fn)
+    scripts = ROOT / "scripts" / "graphs"
+    docs = len(list(scripts.glob("*.json"))) + 1
+    code, text = run_command(["classify", "--batch", str(scripts),
+                              str(stranded), "--json"])
+    assert code == 0, text
+    reports = json.loads(text)
+    assert len(reports) == docs == len(tarjan_runs)
+    assert len({id(g) for g in tarjan_runs}) == docs
+    unreached = [r for r in reports
+                 if "cannot reach the cycle" in r["claims"][0]["text"]]
+    assert [r["subject"] for r in unreached] == [str(stranded)]
+    assert [g.vertices for g in cofinal_graphs] == [("u", "z")]
 
 
 def test_simplicity_with_unreached_sink():

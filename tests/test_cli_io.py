@@ -755,6 +755,22 @@ def test_ideals_on_large_graphs_answers_or_refuses_promptly(tmp_path, shape):
         assert "saturated hereditary vertex sets: 2" in text
 
 
+@pytest.mark.parametrize("shape", ["edgeless25", "edgeless100000", "comb1000",
+                                   "aleph0_chain2000", "line2000",
+                                   "cycle2000"])
+def test_classify_on_large_graphs_answers_promptly(tmp_path, shape):
+    # simplicity is one walk over the components plus one closure per
+    # bottom component: linear, with no search per component
+    doc = tmp_path / f"{shape}.json"
+    doc.write_text(json.dumps(_stress_doc(shape)))
+    t0 = time.perf_counter()
+    code, text = run_command(["classify", "--graph", str(doc)])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0, text
+    simple = shape == "line2000"
+    assert f"both say {'yes' if simple else 'no'}" in text
+
+
 def test_dimension_past_the_int_string_limit_is_refused(tmp_path):
     # 2**14999 paths into the sink: 4,516 digits, past the interpreter's
     # default limit on converting an int to a string
@@ -804,6 +820,14 @@ def _run_capped(argv):
     return subprocess.run([sys.executable, "-m", "graphck", *argv],
                           capture_output=True, text=True, preexec_fn=limit,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_classify_on_a_deep_ray_stage_runs_in_linear_space():
+    # stage 60,000 of the ray: a reach set per component would hold about
+    # n^2/2 vertex entries, far past the 1 GiB the process is given
+    run = _run_capped(["classify", "--family", "ray", "--depth", "60000"])
+    assert run.returncode == 0, run.stderr
+    assert "verdict: UniqueIrrepCompacts dim=countably-infinite" in run.stdout
 
 
 def test_model_basis_past_the_bound_is_refused_before_it_is_built(tmp_path):

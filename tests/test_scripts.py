@@ -1,5 +1,6 @@
 # The example scripts run end to end against the package's public API.
 
+import importlib.util
 import json
 import os
 import runpy
@@ -84,3 +85,55 @@ def test_bench_snapshot_writes_its_keys(tmp_path):
                 "peak_rss_mb", "setup_s", "failed_share"} <= metrics.keys()
         for m in metrics.values():
             assert {"unit", "median", "iqr", "values"} <= m.keys()
+
+
+def test_bench_snapshot_alternates_the_parent_and_this_tree(
+        tmp_path, monkeypatch, capsys):
+    # run_once is patched, so no benchmark runs: the test checks the
+    # pairing, the order of each pair and the two snapshots written
+    spec = importlib.util.spec_from_file_location(
+        "bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+    snap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snap)
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        side = "parent" if tree == parent else "change"
+        calls.append((side, workload, seed))
+        p50 = {"parent": 2.0, "change": 1.5}[side] + seed / 100
+        return {"attempted": 10, "failed": 0, "metrics": {
+            "latency_p50_ms": {"value": p50, "unit": "ms"},
+            "throughput_per_s": {"value": 100.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(snap, "run_once", fake_run_once)
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["--tag", "t", "--seeds", "3", "--seconds", "1", "--out", str(out),
+            "--against", str(parent)]
+    monkeypatch.setattr(sys, "argv", ["bench_snapshot.py", *args])
+    assert snap.main(args) == 0
+    workloads = [w["name"] for w in
+                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    pairs = [(w, s) for w in workloads for s in (1, 2, 3)]
+    assert calls[0::2] == [(("parent", "change")[i % 2], *ws)
+                           for i, ws in enumerate(pairs)]
+    assert calls[1::2] == [(("change", "parent")[i % 2], *ws)
+                           for i, ws in enumerate(pairs)]
+    before = json.loads((out / "BENCH_t_parent.json").read_text())
+    after = json.loads((out / "BENCH_t.json").read_text())
+    assert before["tag"] == "t_parent" and after["tag"] == "t"
+    assert str(parent) not in json.dumps(before["command"])
+    assert str(out) not in json.dumps(after["command"])
+    for w in workloads:
+        p50 = before["workloads"][w]["metrics"]["latency_p50_ms"]
+        assert p50["values"] == [2.01, 2.02, 2.03]
+        assert p50["median"] == 2.02
+        assert after["workloads"][w]["metrics"]["latency_p50_ms"]["median"] \
+            == 1.52
+    printed = capsys.readouterr().out
+    assert f"{workloads[0]:8s} latency_p50_ms     change won 3/3 pairs" in printed
+    assert "(0.752x)" in printed and "beyond parent iqr" in printed
+    assert "throughput_per_s   change won 0/3 pairs" in printed
